@@ -382,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _validate_caps(args)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, prop4.ModalOperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceBudgetExceeded as exc:

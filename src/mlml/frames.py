@@ -19,7 +19,6 @@ split in a fixed pattern.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator
@@ -178,40 +177,15 @@ PROPERTIES: dict[str, FrameProperty] = {
 }
 
 
-def is_reflexive(f: Frame) -> bool:
-    return _reflexive_violation(f) is None
-
-
-def is_serial(f: Frame) -> bool:
-    return _serial_violation(f) is None
-
-
-def is_symmetric(f: Frame) -> bool:
-    return _symmetric_violation(f) is None
-
-
-def is_transitive(f: Frame) -> bool:
-    return _transitive_violation(f) is None
-
-
-def is_euclidean(f: Frame) -> bool:
-    return _euclidean_violation(f) is None
-
-
-def is_out_of_bubble(f: Frame) -> bool:
-    return _out_of_bubble_violation(f) is None
-
-
-def is_super_out_of_bubble(f: Frame) -> bool:
-    return _super_out_of_bubble_violation(f) is None
-
-
-def is_tte(f: Frame) -> bool:
-    return _tte_violation(f) is None
-
-
-def is_ttd(f: Frame) -> bool:
-    return _ttd_violation(f) is None
+is_reflexive = PROPERTIES["reflexive"].holds
+is_serial = PROPERTIES["serial"].holds
+is_symmetric = PROPERTIES["symmetric"].holds
+is_transitive = PROPERTIES["transitive"].holds
+is_euclidean = PROPERTIES["euclidean"].holds
+is_out_of_bubble = PROPERTIES["out_of_bubble"].holds
+is_super_out_of_bubble = PROPERTIES["super_out_of_bubble"].holds
+is_tte = PROPERTIES["transitive_through_equality"].holds
+is_ttd = PROPERTIES["transitive_through_difference"].holds
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +241,19 @@ def _canonical_key(n: int, bits: int, labels: tuple[str, ...]) -> tuple[int, tup
     return best
 
 
-def enumerate_frames(n: int, reduce_isomorphism: bool = False) -> Iterator[Frame]:
+def enumerate_frames(
+    n: int, reduce_isomorphism: bool = False, relations: range | None = None
+) -> Iterator[Frame]:
     """All frames on n labeled worlds in canonical order.
 
     With reduce_isomorphism=True only the least representative of each orbit
-    under world permutations is produced.
+    under world permutations is produced.  `relations` restricts the
+    enumeration to a range of relation bitmasks (default: all of them).
     """
     if n < 1:
         raise ValueError("world count must be >= 1")
     worlds = _world_names(n)
-    for bits in range(1 << (n * n)):
+    for bits in range(1 << (n * n)) if relations is None else relations:
         relation = _relation_from_bits(worlds, bits)
         for labels in product("ABC", repeat=n):
             if reduce_isomorphism and _canonical_key(n, bits, labels) != (bits, labels):
@@ -319,42 +296,27 @@ class CorrespondenceReport:
         return {m.direction for m in self.mismatches}
 
 
-def _check_one_frame(
-    frame: Frame,
-    prop: FrameProperty,
-    formula: Formula,
-    selected: tuple[Ultrafilter, ...],
-    max_valuations: int | None,
-) -> list[Mismatch]:
-    found: list[Mismatch] = []
-    has_property = prop.holds(frame)
-    sweep = FrameSweep(frame, syntax.variables(formula), max_valuations=max_valuations)
-    for u in selected:
-        index = sweep.first_invalid_index(formula, u)
-        if index is None and not has_property:
-            found.append(
-                Mismatch(frame, u, "valid_without_property", prop.violation(frame))
-            )
-        elif index is not None and has_property:
-            counter = Model(frame, sweep.decode_valuation(index), u)
-            found.append(Mismatch(frame, u, "property_without_valid", counter))
-    return found
-
-
-def _correspondence_chunk(args: tuple) -> tuple[int, list[Mismatch]]:
-    prop_name, formula_text, n, bits_lo, bits_hi, uf_names, max_valuations = args
-    prop = PROPERTIES[prop_name]
-    formula = syntax.parse(formula_text)
-    selected = tuple(Ultrafilter.from_name(name) for name in uf_names)
-    worlds = _world_names(n)
+def _correspondence_chunk(job: tuple) -> tuple[int, list[Mismatch]]:
+    """Check every frame on n worlds whose relation lies in the job's range."""
+    prop, formula, n, relations, selected, max_valuations, deadline = job
+    var_names = syntax.variables(formula)
     checked = 0
     found: list[Mismatch] = []
-    for bits in range(bits_lo, bits_hi):
-        relation = _relation_from_bits(worlds, bits)
-        for labels in product("ABC", repeat=n):
-            frame = Frame(worlds, relation, dict(zip(worlds, labels)))
-            checked += 1
-            found.extend(_check_one_frame(frame, prop, formula, selected, max_valuations))
+    for frame in enumerate_frames(n, relations=relations):
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceBudgetExceeded("time budget exhausted")
+        checked += 1
+        has_property = prop.holds(frame)
+        sweep = FrameSweep(frame, var_names, max_valuations=max_valuations)
+        for u in selected:
+            index = sweep.first_invalid_index(formula, u)
+            if index is None and not has_property:
+                found.append(
+                    Mismatch(frame, u, "valid_without_property", prop.violation(frame))
+                )
+            elif index is not None and has_property:
+                counter = Model(frame, sweep.decode_valuation(index), u)
+                found.append(Mismatch(frame, u, "property_without_valid", counter))
     return checked, found
 
 
@@ -376,6 +338,11 @@ def correspondence_check(
     witness is a countermodel in the property-without-validity direction and
     a property violation in the other.  Mismatches are reported sorted by
     the canonical frame encoding.
+
+    The frames are split into chunks of relation bitmasks, checked in this
+    process when workers == 1 and across a process pool otherwise; both
+    honour the frame and time budgets.  A property not in PROPERTIES always
+    runs in this process.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -384,6 +351,10 @@ def correspondence_check(
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     selected = _resolve_ultrafilters(ultrafilters)
+    if max_frames is not None and sum(
+        count_frames(n) for n in range(1, max_worlds + 1)
+    ) > max_frames:
+        raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     report = CorrespondenceReport(
@@ -394,35 +365,24 @@ def correspondence_check(
         frames_checked=0,
     )
 
-    if workers > 1 and prop.name in PROPERTIES:
-        formula_text = syntax.format_formula(formula)
-        uf_names = tuple(u.name for u in selected)
-        jobs = []
-        for n in range(1, max_worlds + 1):
-            total_bits = 1 << (n * n)
-            step = max(1, total_bits // (workers * 4))
-            for lo in range(0, total_bits, step):
-                jobs.append(
-                    (prop.name, formula_text, n, lo, min(lo + step, total_bits),
-                     uf_names, max_valuations)
-                )
+    jobs = []
+    for n in range(1, max_worlds + 1):
+        total_bits = 1 << (n * n)
+        step = max(1, total_bits // (workers * 4))
+        for lo in range(0, total_bits, step):
+            jobs.append((prop, formula, n, range(lo, min(lo + step, total_bits)),
+                         selected, max_valuations, deadline))
+
+    if workers > 1 and prop in PROPERTIES.values():
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for checked, found in pool.map(_correspondence_chunk, jobs):
-                report.frames_checked += checked
-                report.mismatches.extend(found)
-                if max_frames is not None and report.frames_checked > max_frames:
-                    raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")
+            results = list(pool.map(_correspondence_chunk, jobs))
     else:
-        for n in range(1, max_worlds + 1):
-            for frame in enumerate_frames(n):
-                report.frames_checked += 1
-                if max_frames is not None and report.frames_checked > max_frames:
-                    raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")
-                if deadline is not None and time.monotonic() > deadline:
-                    raise ResourceBudgetExceeded("time budget exhausted")
-                report.mismatches.extend(
-                    _check_one_frame(frame, prop, formula, selected, max_valuations)
-                )
+        results = map(_correspondence_chunk, jobs)
+    for checked, found in results:
+        report.frames_checked += checked
+        report.mismatches.extend(found)
 
     report.mismatches.sort(
         key=lambda m: (len(m.frame.worlds), frame_encoding(m.frame), m.ultrafilter.name)

@@ -17,7 +17,8 @@ particular classical axiomatization: TautCons accepts any conclusion that is
 a two-valued tautological consequence of the cited conclusions once every
 maximal subformula headed by a ball or a modal operator is frozen into an
 opaque atom, and Weaken re-derives a cited conclusion under a larger premise
-set.
+set.  The TautCons check is the packed engine's two-valued sweep over the
+frozen atoms on a one-world frame, with no truth table of its own.
 
 The bundled corpus exercises every rule; `semantic_crosscheck` replays an
 accepted derivation's final judgment against the bounded countermodel search,
@@ -29,11 +30,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from . import kripke, syntax
-from ._sweep import DEFAULT_MAX_VALUATIONS
+from ._sweep import DEFAULT_MAX_VALUATIONS, FrameSweep
+from .algebra import DEFAULT_ULTRAFILTER
 from .syntax import (
     And,
     Ball,
@@ -233,52 +235,37 @@ def _match_scheme(
 # ---------------------------------------------------------------------------
 
 _TAUT_ATOM_BUDGET = 16
+_FRAME = kripke.Frame(("w",), frozenset(), {"w": "A"})
 
 
-def _abstract(f: Formula, atoms: dict[Formula, int]):
-    """Skeleton with ball/modal subformulas and variables frozen to atoms."""
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
+def _abstract(f: Formula, atoms: dict[Formula, Var]) -> Formula:
+    """The Boolean skeleton of f, with every variable and every ball- or
+    modal-headed subformula frozen to a fresh atom."""
+    if isinstance(f, (Top, Bot)):
+        return f
     if isinstance(f, Not):
-        return ("not", _abstract(f.sub, atoms))
-    if isinstance(f, And):
-        return ("and", _abstract(f.left, atoms), _abstract(f.right, atoms))
-    if isinstance(f, Or):
-        return ("or", _abstract(f.left, atoms), _abstract(f.right, atoms))
+        return Not(_abstract(f.sub, atoms))
+    if isinstance(f, (And, Or)):
+        return type(f)(_abstract(f.left, atoms), _abstract(f.right, atoms))
     if f not in atoms:
-        atoms[f] = len(atoms)
-    return ("atom", atoms[f])
-
-
-def _eval_skeleton(sk, row: tuple[bool, ...]) -> bool:
-    if sk is True or sk is False:
-        return sk
-    tag = sk[0]
-    if tag == "atom":
-        return row[sk[1]]
-    if tag == "not":
-        return not _eval_skeleton(sk[1], row)
-    if tag == "and":
-        return _eval_skeleton(sk[1], row) and _eval_skeleton(sk[2], row)
-    return _eval_skeleton(sk[1], row) or _eval_skeleton(sk[2], row)
+        atoms[f] = Var(f"a{len(atoms)}")
+    return atoms[f]
 
 
 def tautological_consequence(assumptions: Sequence[Formula], conclusion: Formula) -> bool:
-    """Two-valued consequence after opaque-atom abstraction, by truth table."""
-    atoms: dict[Formula, int] = {}
+    """Two-valued consequence after opaque-atom abstraction: a two-valued
+    sweep over every row of the atoms on a one-world frame."""
+    atoms: dict[Formula, Var] = {}
     abstract_assumptions = [_abstract(f, atoms) for f in assumptions]
     abstract_conclusion = _abstract(conclusion, atoms)
     if len(atoms) > _TAUT_ATOM_BUDGET:
         raise ValueError(
             f"tautology check over {len(atoms)} atoms exceeds the budget of {_TAUT_ATOM_BUDGET}"
         )
-    for row in product((False, True), repeat=len(atoms)):
-        if all(_eval_skeleton(sk, row) for sk in abstract_assumptions):
-            if not _eval_skeleton(abstract_conclusion, row):
-                return False
-    return True
+    sweep = FrameSweep(_FRAME, [a.name for a in atoms.values()], binary=True)
+    return sweep.countermodel_index(
+        abstract_assumptions, abstract_conclusion, DEFAULT_ULTRAFILTER
+    ) is None
 
 
 # ---------------------------------------------------------------------------

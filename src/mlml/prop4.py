@@ -2,16 +2,15 @@
 
 The four-valued algebra {1, 0, a, -a} with the ball operator is realized as
 the carrier A of B8 under the e1-generated ultrafilter, so a = e1 and the
-designated values are {1, a}.  This reuses the one algebra implementation
-instead of duplicating truth tables.
-
-Consequence is decided by brute force: every connective here is
-value-functional, so enumerating all assignments of the four values to the
-occurring variables is exact.  For the same reason the schematic inference
-rules of the propositional calculus can be checked on single-variable
-instantiations; `rule_soundness_report` does exactly that for the eleven
-value-functional schemes and handles ball introduction (a rule about
-theoremhood, not values) by checking that every formula in the bundled
+designated values are {1, a}.  A valuation into {1, 0, a, -a} is a model on
+the one-world frame labelled A, so this module has no evaluator of its own:
+`eval4` is `kripke.eval_formula` on that model, and consequence is a sweep of
+the packed engine over every valuation of that frame.  Every connective here
+is value-functional, so that sweep is exact, and for the same reason the
+schematic inference rules of the propositional calculus can be checked on
+single-variable instantiations; `rule_soundness_report` does exactly that for
+the eleven value-functional schemes and handles ball introduction (a rule
+about theoremhood, not values) by checking that every formula in the bundled
 theorem list evaluates to exactly 1 under every assignment.
 """
 
@@ -22,8 +21,9 @@ from typing import Iterable, Mapping
 
 from itertools import product
 
-from . import algebra, syntax
-from .algebra import BOT, E1, E23, TOP
+from . import algebra, kripke, syntax
+from ._sweep import FrameSweep
+from .algebra import BOT, DEFAULT_ULTRAFILTER, E1, E23, TOP
 from .syntax import Formula
 
 __all__ = [
@@ -46,6 +46,9 @@ DESIGNATED4 = (E1, TOP)
 
 _VALUE_NAMES = {TOP: "1", BOT: "0", E1: "a", E23: "-a"}
 
+_WORLD = "w"
+_FRAME = kripke.Frame((_WORLD,), frozenset(), {_WORLD: "A"})
+
 
 def value4_name(x: int) -> str:
     return _VALUE_NAMES[x]
@@ -61,37 +64,34 @@ class ModalOperatorError(ValueError):
         )
 
 
+def _require_propositional(f: Formula) -> None:
+    """Raise ModalOperatorError at the first modal subformula, outermost and
+    leftmost first."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (syntax.Box, syntax.Diamond, syntax.BoxSame, syntax.BoxDiff)):
+            raise ModalOperatorError(g)
+        if isinstance(g, (syntax.Not, syntax.Ball)):
+            stack.append(g.sub)
+        elif isinstance(g, (syntax.And, syntax.Or)):
+            stack += (g.right, g.left)
+
+
+def _model(assignment: Mapping[str, int]) -> kripke.Model:
+    return kripke.Model(_FRAME, {(_WORLD, k): v for k, v in assignment.items()})
+
+
 def eval4(f: Formula, assignment: Mapping[str, int]) -> int:
     """Value of a modal-free formula under an assignment into {1, 0, a, -a}."""
-    if isinstance(f, syntax.Var):
-        try:
-            return assignment[f.name]
-        except KeyError:
-            raise ValueError(f"assignment misses variable {f.name!r}") from None
-    if isinstance(f, syntax.Top):
-        return TOP
-    if isinstance(f, syntax.Bot):
-        return BOT
-    if isinstance(f, syntax.Not):
-        return algebra.complement(eval4(f.sub, assignment))
-    if isinstance(f, syntax.And):
-        return algebra.meet(eval4(f.left, assignment), eval4(f.right, assignment))
-    if isinstance(f, syntax.Or):
-        return algebra.join(eval4(f.left, assignment), eval4(f.right, assignment))
-    if isinstance(f, syntax.Ball):
-        return algebra.ball(eval4(f.sub, assignment))
-    if isinstance(f, (syntax.Box, syntax.Diamond, syntax.BoxSame, syntax.BoxDiff)):
-        raise ModalOperatorError(f)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def is_designated4(x: int) -> bool:
-    return x in DESIGNATED4
+    _require_propositional(f)
+    return kripke.eval_formula(_model(assignment), _WORLD, f)
 
 
 def all_valuations4(var_names: Iterable[str]) -> Iterable[dict[str, int]]:
     """Every assignment of the four values to the given variables, in
-    lexicographic order over (sorted variables, ascending value encoding)."""
+    lexicographic order over (sorted variables, ascending value encoding).
+    This is the sweep's valuation order on the one-world frame."""
     names = sorted(set(var_names))
     for values in product(FOUR_VALUES, repeat=len(names)):
         yield dict(zip(names, values))
@@ -111,21 +111,35 @@ class Consequence4Result:
         return ", ".join(f"{name}={value4_name(v)}" for name, v in sorted(self.witness.items()))
 
 
+def _sweep(formulas: Iterable[Formula]) -> FrameSweep:
+    names: set[str] = set()
+    for f in formulas:
+        names.update(syntax.variables(f))
+    return FrameSweep(_FRAME, sorted(names))
+
+
+def _assignment(sweep: FrameSweep, index: int) -> dict[str, int]:
+    return {name: v for (_, name), v in sweep.decode_valuation(index).items()}
+
+
 def consequence4(premises: Iterable[Formula], goal: Formula) -> Consequence4Result:
     """Whether every assignment designating all premises designates the goal.
 
-    On failure the first refuting assignment (in enumeration order) comes
-    back as the witness.
+    On failure the first refuting assignment (in all_valuations4 order)
+    comes back as the witness, re-checked against kripke.eval_formula.
     """
     premises = tuple(premises)
-    names: set[str] = set()
     for f in premises + (goal,):
-        names.update(syntax.variables(f))
-    for assignment in all_valuations4(names):
-        if all(is_designated4(eval4(p, assignment)) for p in premises):
-            if not is_designated4(eval4(goal, assignment)):
-                return Consequence4Result(False, assignment)
-    return Consequence4Result(True)
+        _require_propositional(f)
+    sweep = _sweep(premises + (goal,))
+    index = sweep.countermodel_index(premises, goal, DEFAULT_ULTRAFILTER)
+    if index is None:
+        return Consequence4Result(True)
+    witness = _assignment(sweep, index)
+    model = _model(witness)
+    if not all(kripke.model_valid(model, p) for p in premises) or kripke.model_valid(model, goal):
+        raise AssertionError("sweep and definitional evaluator disagree")
+    return Consequence4Result(False, witness)
 
 
 def tautology4(f: Formula) -> Consequence4Result:
@@ -238,15 +252,13 @@ def rule_soundness_report() -> list[RuleCheck]:
     ib_witness = ""
     for text in THEOREM_BUNDLE:
         f = syntax.parse(text)
-        for assignment in all_valuations4(syntax.variables(f)):
-            if eval4(f, assignment) != TOP:
-                ib_passed = False
-                values = ", ".join(
-                    f"{k}={value4_name(v)}" for k, v in sorted(assignment.items())
-                )
-                ib_witness = f"{text} is not exactly 1 at {values}"
-                break
-        if not ib_passed:
+        sweep = _sweep((f,))
+        (value,), (top,) = sweep.values(f), sweep.values(syntax.Top())
+        if value != top:
+            off = value ^ top
+            first = _assignment(sweep, ((off & -off).bit_length() - 1) // 3)
+            ib_passed = False
+            ib_witness = f"{text} is not exactly 1 at {Consequence4Result(False, first).witness_text()}"
             break
     rows.append(
         RuleCheck("IB", "every bundled theorem evaluates to exactly 1", ib_passed, ib_witness)

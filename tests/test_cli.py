@@ -101,6 +101,24 @@ def test_cons4_witness_line(capsys):
     assert code == 0
 
 
+def test_taut4_cons4_reject_modal_input(capsys):
+    code, out, err = run(capsys, "taut4", "--formula", "[]p")
+    assert code == 2 and out == ""
+    assert "modal operator in propositional evaluation: []p" in err
+    # the goal is modal although the premise F designates nothing
+    code, out, err = run(capsys, "cons4", "--premises", "F", "--goal", "[]p")
+    assert code == 2 and out == ""
+    assert "modal operator" in err
+
+
+def test_cons4_over_eleven_variables_hits_the_valuation_cap(capsys):
+    names = [f"x{i}" for i in range(11)]
+    code, out, err = run(capsys, "cons4", "--premises", "; ".join(names),
+                         "--goal", " & ".join(names))
+    assert code == 3 and out == ""
+    assert "resource cap exceeded" in err
+
+
 def test_search_finds_non_normality(capsys):
     code, out, _ = run(capsys, "search", "--premises", "p", "--goal", "[]p",
                        "--max-worlds", "2")
@@ -145,6 +163,15 @@ def test_correspond_workers_flag(capsys):
                        "--workers", "2")
     assert code == 0
     assert out.strip().endswith("0 mismatches")
+
+
+@pytest.mark.parametrize("budget", [("--time-budget", "0.01"), ("--max-frames", "100")])
+def test_correspond_workers_honour_budgets(capsys, budget):
+    code, out, err = run(capsys, "correspond", "--property", "reflexive",
+                         "--formula", "[]p -> p", "--max-worlds", "3",
+                         "--workers", "2", *budget)
+    assert code == 3 and out == ""
+    assert "resource cap exceeded" in err
 
 
 def test_correspond_deterministic(capsys):

@@ -216,3 +216,31 @@ def test_bogus_judgment_has_countermodel():
     from mlml.kripke import countermodel_search
 
     assert countermodel_search([parse("p")], parse("[]p"), 2) is not None
+
+
+def test_tautological_consequence_matches_classical_brute_force():
+    # on the ball-free, modal-free corpus the opaque atoms are the variables,
+    # so TautCons is classical consequence, decided here row by row by the
+    # independent two-valued oracle
+    import random
+    from itertools import product
+
+    from mlml.kripke import Frame, classical_reference_eval
+    from mlml.syntax import Ball, generate_corpus, is_modal_free, subformulas
+
+    frame = Frame(("w",), frozenset(), {"w": "A"})
+    pool = [
+        f for f in generate_corpus(["p", "q"], 3)
+        if is_modal_free(f) and not any(isinstance(g, Ball) for g in subformulas(f))
+    ]
+    rng = random.Random(20260218)
+    for _ in range(400):
+        premises = rng.sample(pool, rng.randrange(3))
+        goal = rng.choice(pool)
+        expected = True
+        for p_value, q_value in product((False, True), repeat=2):
+            row = {("w", "p"): p_value, ("w", "q"): q_value}
+            if all(classical_reference_eval(frame, row, "w", f) for f in premises):
+                if not classical_reference_eval(frame, row, "w", goal):
+                    expected = False
+        assert tautological_consequence(premises, goal) == expected, (premises, goal)

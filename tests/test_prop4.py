@@ -100,3 +100,45 @@ def test_corrupted_scheme_fails_with_witness():
 def test_tautology4():
     assert tautology4(parse("@p | ~@p")).holds
     assert not tautology4(parse("@p")).holds
+
+
+def _brute_consequence4(premises, goal):
+    """Reference verdict and first witness: every assignment in
+    all_valuations4 order, each formula evaluated by kripke.eval_formula on
+    a one-world model labelled A under e1."""
+    from mlml.kripke import Frame, Model, eval_formula
+
+    frame = Frame(("w",), frozenset(), {"w": "A"})
+    names = set()
+    for f in list(premises) + [goal]:
+        names.update(variables(f))
+    for assignment in all_valuations4(names):
+        model = Model(frame, {("w", k): v for k, v in assignment.items()})
+        if all(eval_formula(model, "w", p) in (E1, TOP) for p in premises):
+            if eval_formula(model, "w", goal) not in (E1, TOP):
+                return False, assignment
+    return True, None
+
+
+def test_consequence4_matches_brute_force_on_the_corpus():
+    import random
+
+    from mlml.syntax import generate_corpus, is_modal_free
+
+    pool = [f for f in generate_corpus(["p", "q"], 3) if is_modal_free(f)]
+    rng = random.Random(20260218)
+    for _ in range(400):
+        premises = rng.sample(pool, rng.randrange(3))
+        goal = rng.choice(pool)
+        result = consequence4(premises, goal)
+        holds, witness = _brute_consequence4(premises, goal)
+        assert (result.holds, result.witness) == (holds, witness), (premises, goal)
+
+
+def test_ib_row_reports_the_first_assignment_off_top(monkeypatch):
+    import mlml.prop4 as prop4
+
+    monkeypatch.setattr(prop4, "THEOREM_BUNDLE", ("p | ~p", "p | @q"))
+    ib = rule_soundness_report()[-1]
+    assert ib.rule == "IB" and not ib.passed
+    assert ib.witness == "p | @q is not exactly 1 at p=0, q=a"
