@@ -14,13 +14,27 @@ significant; each slot's digit indexes the world's carrier in ascending
 element order.  Index 0 is therefore the all-zero valuation, and the lowest
 failing bit of a validity mask identifies the canonically first countermodel.
 
+Formulas are evaluated as compiled programs.  `compile_formula` walks the
+tree once, without recursion, and hash-conses it into straight-line code:
+one (op, a, b) instruction per distinct subformula, whose arguments are
+indices of earlier instructions (diamond compiles to not-box-not).  A sweep
+interns the instructions it runs by (op, ids of the argument results), all
+small ints, so a subformula shared by several formulas is computed once per
+sweep, and the repeat evaluation of the last program, as for the next
+ultrafilter, returns at once.  Callers that evaluate one formula on many
+frames compile it once and pass the program.  A variable's vector depends
+only on the slot count, its slot and the world's carrier, so the vectors come
+from a small fixed-size cache shared by every sweep.
+
 The definitional single-model evaluator lives in kripke.py; the test suite
-checks the two agree exhaustively on small frames.
+checks the two agree on random formulas and frames.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .algebra import BOT, E1, E2, E3, TOP, Ultrafilter, carrier
 from . import syntax
@@ -47,6 +61,92 @@ _DOWN_SHAPE = {
 _GENERATOR_BIT = {E1: 0, E2: 1, E3: 2}
 
 
+# ---------------------------------------------------------------------------
+# Compilation
+# ---------------------------------------------------------------------------
+
+# Opcodes: the leaves, then the unary operators, then the binary ones.
+VAR, TOP_OP, BOT_OP, NOT, BALL, BOX, BOX_SAME, BOX_DIFF, AND, OR = range(10)
+
+_UNARY_OPS = {
+    syntax.Not: NOT,
+    syntax.Ball: BALL,
+    syntax.Box: BOX,
+    syntax.BoxSame: BOX_SAME,
+    syntax.BoxDiff: BOX_DIFF,
+}
+_BINARY_OPS = {syntax.And: AND, syntax.Or: OR}
+
+
+@dataclass(frozen=True, eq=False)
+class Program:
+    """A formula as straight-line code.
+
+    Instruction k is (op, a, b): a and b index earlier instructions, except
+    that a is the variable name for VAR, and unused arguments are -1.  Each
+    distinct subformula has one instruction and the last one is the formula.
+    """
+
+    code: tuple[tuple[int, object, int], ...]
+
+
+def compile_formula(f: Formula) -> Program:
+    """Hash-cons f into a Program by an iterative post-order walk."""
+    code: list[tuple[int, object, int]] = []
+    position: dict[tuple[int, object, int], int] = {}
+    done: dict[int, int] = {}  # id of a node of f -> its instruction
+
+    def emit(op: int, a: object = -1, b: int = -1) -> int:
+        instruction = (op, a, b)
+        at = position.get(instruction)
+        if at is None:
+            at = position[instruction] = len(code)
+            code.append(instruction)
+        return at
+
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in done:
+            stack.pop()
+            continue
+        kind = type(g)
+        if kind is syntax.Var:
+            at = emit(VAR, g.name)
+        elif kind is syntax.Top:
+            at = emit(TOP_OP)
+        elif kind is syntax.Bot:
+            at = emit(BOT_OP)
+        elif kind in _BINARY_OPS:
+            left, right = done.get(id(g.left)), done.get(id(g.right))
+            if left is None or right is None:
+                if right is None:
+                    stack.append(g.right)
+                if left is None:
+                    stack.append(g.left)
+                continue
+            at = emit(_BINARY_OPS[kind], left, right)
+        elif kind in _UNARY_OPS or kind is syntax.Diamond:
+            sub = done.get(id(g.sub))
+            if sub is None:
+                stack.append(g.sub)
+                continue
+            if kind is syntax.Diamond:
+                at = emit(NOT, emit(BOX, emit(NOT, sub)))
+            else:
+                at = emit(_UNARY_OPS[kind], sub)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        done[id(g)] = at
+        stack.pop()
+    return Program(tuple(code))
+
+
+# ---------------------------------------------------------------------------
+# Variable vectors
+# ---------------------------------------------------------------------------
+
+
 def _replicate(block: int, block_groups: int, copies: int) -> int:
     """Concatenate `copies` copies of a block of 3-bit groups (copies is a power of two)."""
     value = block
@@ -56,6 +156,24 @@ def _replicate(block: int, block_groups: int, copies: int) -> int:
         value |= value << (3 * span)
         span *= 2
     return value
+
+
+@lru_cache(maxsize=64)
+def _var_vector(slot_count: int, slot: int, domain: tuple[int, ...]) -> int:
+    """Packed value of the variable in `slot` at a world whose slot digits
+    range over `domain`, across all len(domain) ** slot_count valuations."""
+    base = len(domain)
+    run = base ** (slot_count - 1 - slot)
+    run_ones = ((1 << (3 * run)) - 1) // 7
+    block = 0
+    for digit, value in enumerate(domain):
+        block |= (value * run_ones) << (3 * run * digit)
+    return _replicate(block, run * base, base ** slot)
+
+
+# ---------------------------------------------------------------------------
+# The sweep
+# ---------------------------------------------------------------------------
 
 
 class FrameSweep:
@@ -74,47 +192,33 @@ class FrameSweep:
     ):
         self.frame = frame
         self.var_names = tuple(var_names)
-        self.worlds = frame.worlds
-        self._labels = [frame.lattice_of[w] for w in frame.worlds]
-        index = {w: i for i, w in enumerate(frame.worlds)}
-        self._succ = [
-            [index[v] for v in frame.worlds if (w, v) in frame.relation]
-            for w in frame.worlds
-        ]
+        self.worlds = worlds = frame.worlds
+        self._labels = labels = [frame.lattice_of[w] for w in worlds]
+        # Per world: its successors in its own lattice and in the others.
+        index = {w: i for i, w in enumerate(worlds)}
+        self._same: list[list[int]] = [[] for _ in worlds]
+        self._diff: list[list[int]] = [[] for _ in worlds]
+        for w, v in frame.relation:
+            wi, ui = index[w], index[v]
+            (self._same if labels[wi] == labels[ui] else self._diff)[wi].append(ui)
+        self._no_succ: list[list[int]] = [[]] * len(worlds)
         if binary:
-            self._domains = [(BOT, TOP)] * len(frame.worlds)
+            self._domains = [(BOT, TOP)] * len(worlds)
         else:
-            self._domains = [carrier(label) for label in self._labels]
-        base = 2 if binary else 4
-        self._base = base
-        slot_count = len(frame.worlds) * len(self.var_names)
-        self.valuation_count = base ** slot_count
+            self._domains = [carrier(label) for label in labels]
+        self._base = 2 if binary else 4
+        self._slot_count = len(worlds) * len(self.var_names)
+        self.valuation_count = self._base ** self._slot_count
         if max_valuations is not None and self.valuation_count > max_valuations:
             raise ResourceBudgetExceeded(
                 f"{self.valuation_count} valuations exceed the cap of {max_valuations}"
             )
         self._full = (1 << (3 * self.valuation_count)) - 1
         self._ones = self._full // 7
-        self._var_vectors = self._build_var_vectors()
-        self._memo: dict[Formula, list[int]] = {}
-
-    # -- construction -----------------------------------------------------
-
-    def _build_var_vectors(self) -> dict[tuple[int, str], int]:
-        vectors: dict[tuple[int, str], int] = {}
-        slot = 0
-        slot_count = len(self.worlds) * len(self.var_names)
-        for wi in range(len(self.worlds)):
-            for name in self.var_names:
-                run = self._base ** (slot_count - 1 - slot)
-                run_ones = ((1 << (3 * run)) - 1) // 7
-                block = 0
-                for digit, value in enumerate(self._domains[wi]):
-                    block |= (value * run_ones) << (3 * run * digit)
-                copies = self.valuation_count // (run * self._base)
-                vectors[(wi, name)] = _replicate(block, run * self._base, copies)
-                slot += 1
-        return vectors
+        # Interned results: (op, argument ids) -> id, and id -> per-world values.
+        self._ids: dict[tuple[int, object, int], int] = {}
+        self._results: list[list[int]] = []
+        self._last: tuple[object, list[int]] | None = None
 
     # -- packed operators ---------------------------------------------------
 
@@ -124,72 +228,87 @@ class FrameSweep:
         crisp = (v & (v >> 1) & (v >> 2) & ones) | (w & (w >> 1) & (w >> 2) & ones)
         return crisp * 7
 
-    def _down(self, label: str, v: int) -> int:
-        atom_bit, co_lo, co_hi = _DOWN_SHAPE[label]
+    def _box(self, sub: list[int], same: list[list[int]], diff: list[list[int]]) -> list[int]:
+        """Per world: the meet over the listed successors of their values,
+        down-interpreted into the world's carrier.  A same-lattice value
+        already lies in that carrier, where down-interpretation is the
+        identity."""
         ones = self._ones
-        kept_atom = v & (ones << atom_bit)
-        pair = (v >> co_lo) & (v >> co_hi) & ones
-        return kept_atom | (pair << co_lo) | (pair << co_hi)
+        out = []
+        for label, same_targets, diff_targets in zip(self._labels, same, diff):
+            acc = self._full
+            for ui in same_targets:
+                acc &= sub[ui]
+            if diff_targets:
+                atom_bit, co_lo, co_hi = _DOWN_SHAPE[label]
+                atoms = ones << atom_bit
+                for ui in diff_targets:
+                    v = sub[ui]
+                    pair = (v >> co_lo) & (v >> co_hi) & ones
+                    acc &= (v & atoms) | (pair << co_lo) | (pair << co_hi)
+            out.append(acc)
+        return out
+
+    def _variable(self, name: str) -> list[int]:
+        if name not in self.var_names:
+            raise KeyError(f"variable {name!r} not covered by this sweep")
+        slot = self.var_names.index(name)
+        stride = len(self.var_names)
+        return [
+            _var_vector(self._slot_count, wi * stride + slot, domain)
+            for wi, domain in enumerate(self._domains)
+        ]
+
+    def _apply(self, op: int, a, b: int) -> list[int]:
+        """Per-world values of one instruction whose arguments are result ids."""
+        full = self._full
+        if op == VAR:
+            return self._variable(a)
+        if op == TOP_OP:
+            return [full] * len(self.worlds)
+        if op == BOT_OP:
+            return [0] * len(self.worlds)
+        sub = self._results[a]
+        if op == NOT:
+            return [v ^ full for v in sub]
+        if op == AND:
+            return [x & y for x, y in zip(sub, self._results[b])]
+        if op == OR:
+            return [x | y for x, y in zip(sub, self._results[b])]
+        if op == BALL:
+            return [self._ball(v) for v in sub]
+        if op == BOX:
+            return self._box(sub, self._same, self._diff)
+        if op == BOX_SAME:
+            return self._box(sub, self._same, self._no_succ)
+        return self._box(sub, self._no_succ, self._diff)
 
     # -- evaluation ---------------------------------------------------------
 
-    def values(self, f: Formula) -> list[int]:
-        """Packed value of f at each world, over every valuation at once."""
-        cached = self._memo.get(f)
-        if cached is not None:
-            return cached
-        full = self._full
-        if isinstance(f, syntax.Var):
-            if f.name not in self.var_names:
-                raise KeyError(f"variable {f.name!r} not covered by this sweep")
-            out = [self._var_vectors[(wi, f.name)] for wi in range(len(self.worlds))]
-        elif isinstance(f, syntax.Top):
-            out = [full] * len(self.worlds)
-        elif isinstance(f, syntax.Bot):
-            out = [0] * len(self.worlds)
-        elif isinstance(f, syntax.Not):
-            out = [v ^ full for v in self.values(f.sub)]
-        elif isinstance(f, syntax.And):
-            out = [a & b for a, b in zip(self.values(f.left), self.values(f.right))]
-        elif isinstance(f, syntax.Or):
-            out = [a | b for a, b in zip(self.values(f.left), self.values(f.right))]
-        elif isinstance(f, syntax.Ball):
-            out = [self._ball(v) for v in self.values(f.sub)]
-        elif isinstance(f, syntax.Box):
-            out = self._box(self.values(f.sub))
-        elif isinstance(f, syntax.Diamond):
-            boxed = self._box(self.values(syntax.Not(f.sub)))
-            out = [v ^ full for v in boxed]
-        elif isinstance(f, syntax.BoxSame):
-            sub = self.values(f.sub)
-            out = []
-            for wi, label in enumerate(self._labels):
-                acc = full
-                for ui in self._succ[wi]:
-                    if self._labels[ui] == label:
-                        acc &= sub[ui]
-                out.append(acc)
-        elif isinstance(f, syntax.BoxDiff):
-            sub = self.values(f.sub)
-            out = []
-            for wi, label in enumerate(self._labels):
-                acc = full
-                for ui in self._succ[wi]:
-                    if self._labels[ui] != label:
-                        acc &= self._down(label, sub[ui])
-                out.append(acc)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._memo[f] = out
-        return out
+    def values(self, f: Union[Formula, Program]) -> list[int]:
+        """Packed value of f at each world, over every valuation at once.
 
-    def _box(self, sub: list[int]) -> list[int]:
-        out = []
-        for wi, label in enumerate(self._labels):
-            acc = self._full
-            for ui in self._succ[wi]:
-                acc &= self._down(label, sub[ui])
-            out.append(acc)
+        f is a formula, compiled on entry, or a program from compile_formula.
+        """
+        last = self._last
+        if last is not None and last[0] is f:
+            return last[1]
+        program = f if isinstance(f, Program) else compile_formula(f)
+        ids, results = self._ids, self._results
+        at: list[int] = []
+        for op, a, b in program.code:
+            if op >= NOT:
+                a = at[a]
+                if op >= AND:
+                    b = at[b]
+            key = (op, a, b)
+            rid = ids.get(key)
+            if rid is None:
+                results.append(self._apply(op, a, b))
+                rid = ids[key] = len(results) - 1
+            at.append(rid)
+        out = results[at[-1]]
+        self._last = (f, out)
         return out
 
     # -- satisfaction masks ---------------------------------------------------
@@ -199,25 +318,29 @@ class FrameSweep:
         """Group-aligned all-valuations mask (bit 3*i set for valuation i)."""
         return self._ones
 
-    def designated_mask(self, f: Formula, u: Ultrafilter) -> list[int]:
+    def designated_mask(self, f: Union[Formula, Program], u: Ultrafilter) -> list[int]:
         """Per world: mask whose bit 3*i is set iff valuation i makes f hold
         at that world."""
         bit = _GENERATOR_BIT[u.generator]
         return [(v >> bit) & self._ones for v in self.values(f)]
 
-    def valid_mask(self, f: Formula, u: Ultrafilter) -> int:
+    def valid_mask(self, f: Union[Formula, Program], u: Ultrafilter) -> int:
         """Group-aligned mask whose bit 3*i is set iff valuation i makes f
         hold at every world."""
+        bit = _GENERATOR_BIT[u.generator]
         mask = self._ones
-        for world_mask in self.designated_mask(f, u):
-            mask &= world_mask
+        for v in self.values(f):
+            mask &= v >> bit
         return mask
 
-    def is_frame_valid(self, f: Formula, u: Ultrafilter) -> bool:
+    def is_frame_valid(self, f: Union[Formula, Program], u: Ultrafilter) -> bool:
         return self.valid_mask(f, u) == self._ones
 
     def countermodel_index(
-        self, premises: Iterable[Formula], goal: Formula, u: Ultrafilter
+        self,
+        premises: Iterable[Union[Formula, Program]],
+        goal: Union[Formula, Program],
+        u: Ultrafilter,
     ) -> int | None:
         """Lowest valuation index globally satisfying every premise but not
         the goal, or None."""
@@ -231,7 +354,7 @@ class FrameSweep:
             return None
         return ((bad & -bad).bit_length() - 1) // 3
 
-    def first_invalid_index(self, f: Formula, u: Ultrafilter) -> int | None:
+    def first_invalid_index(self, f: Union[Formula, Program], u: Ultrafilter) -> int | None:
         return self.countermodel_index((), f, u)
 
     def decode_valuation(self, index: int) -> dict[tuple[str, str], int]:
@@ -239,11 +362,10 @@ class FrameSweep:
         if not 0 <= index < self.valuation_count:
             raise IndexError(index)
         assignment: dict[tuple[str, str], int] = {}
-        slot_count = len(self.worlds) * len(self.var_names)
         slot = 0
         for wi, world in enumerate(self.worlds):
             for name in self.var_names:
-                run = self._base ** (slot_count - 1 - slot)
+                run = self._base ** (self._slot_count - 1 - slot)
                 digit = (index // run) % self._base
                 assignment[(world, name)] = self._domains[wi][digit]
                 slot += 1

@@ -60,7 +60,7 @@ def element_name(x: Element8) -> str:
 def element_from_name(name: str) -> Element8:
     try:
         return _ELEMENTS_BY_NAME[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown element name: {name!r}") from None
 
 

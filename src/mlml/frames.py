@@ -25,7 +25,12 @@ from typing import Callable, Iterable, Iterator
 
 from . import syntax
 from .algebra import Ultrafilter
-from ._sweep import DEFAULT_MAX_VALUATIONS, FrameSweep, ResourceBudgetExceeded
+from ._sweep import (
+    DEFAULT_MAX_VALUATIONS,
+    FrameSweep,
+    ResourceBudgetExceeded,
+    compile_formula,
+)
 from .kripke import Frame, Model, _resolve_ultrafilters
 from .syntax import Formula
 
@@ -300,6 +305,7 @@ def _correspondence_chunk(job: tuple) -> tuple[int, list[Mismatch]]:
     """Check every frame on n worlds whose relation lies in the job's range."""
     prop, formula, n, relations, selected, max_valuations, deadline = job
     var_names = syntax.variables(formula)
+    program = compile_formula(formula)
     checked = 0
     found: list[Mismatch] = []
     for frame in enumerate_frames(n, relations=relations):
@@ -309,7 +315,7 @@ def _correspondence_chunk(job: tuple) -> tuple[int, list[Mismatch]]:
         has_property = prop.holds(frame)
         sweep = FrameSweep(frame, var_names, max_valuations=max_valuations)
         for u in selected:
-            index = sweep.first_invalid_index(formula, u)
+            index = sweep.first_invalid_index(program, u)
             if index is None and not has_property:
                 found.append(
                     Mismatch(frame, u, "valid_without_property", prop.violation(frame))
@@ -477,9 +483,10 @@ def indiscernibility_check(
         ultrafilters=tuple(u.name for u in selected),
     )
     for f in corpus:
+        program = compile_formula(f)
         for u in selected:
-            valid_a = sweep_a.is_frame_valid(f, u)
-            valid_b = sweep_b.is_frame_valid(f, u)
+            valid_a = sweep_a.is_frame_valid(program, u)
+            valid_b = sweep_b.is_frame_valid(program, u)
             if valid_a != valid_b:
                 report.disagreements.append(
                     (syntax.format_formula(f), u.name, valid_a, valid_b)

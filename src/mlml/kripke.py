@@ -41,7 +41,12 @@ from .algebra import (
     element_name,
     is_designated,
 )
-from ._sweep import DEFAULT_MAX_VALUATIONS, FrameSweep, ResourceBudgetExceeded
+from ._sweep import (
+    DEFAULT_MAX_VALUATIONS,
+    FrameSweep,
+    ResourceBudgetExceeded,
+    compile_formula,
+)
 from .syntax import Formula
 
 __all__ = [
@@ -102,6 +107,9 @@ class Frame:
             label = self.lattice_of.get(w)
             if label not in algebra.LATTICE_LABELS:
                 raise ValueError(f"world {w!r} has no valid lattice label")
+        if len(self.lattice_of) != len(self.worlds):
+            extra = sorted(set(self.lattice_of) - world_set, key=str)
+            raise ValueError(f"lattice label for unknown world {extra[0]!r}")
 
     def successors(self, world: str) -> tuple[str, ...]:
         if world not in self.lattice_of:
@@ -293,6 +301,8 @@ def countermodel_search(
     for g in premises + (goal,):
         names.update(syntax.variables(g))
     var_names = tuple(sorted(names))
+    premise_programs = [compile_formula(p) for p in premises]
+    goal_program = compile_formula(goal)
     seen = 0
     for n in range(1, max_worlds + 1):
         for frame in enumerate_frames(n):
@@ -305,7 +315,7 @@ def countermodel_search(
                 )
             sweep = FrameSweep(frame, var_names, max_valuations=max_valuations)
             for u in selected:
-                index = sweep.countermodel_index(premises, goal, u)
+                index = sweep.countermodel_index(premise_programs, goal_program, u)
                 if index is None:
                     continue
                 model = Model(frame, sweep.decode_valuation(index), u)
@@ -392,6 +402,8 @@ def frame_from_dict(doc: Mapping) -> Frame:
         edges = frozenset((a, b) for a, b in doc["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad frame document: {exc}") from exc
+    if not all(isinstance(w, str) for w in worlds):
+        raise ValueError("bad frame document: world names must be strings")
     return Frame(worlds, edges, lattices)
 
 
@@ -409,7 +421,14 @@ def model_from_dict(doc: Mapping) -> Model:
     frame = frame_from_dict(doc)
     u = Ultrafilter.from_name(doc.get("ultrafilter", "e1"))
     valuation: dict[tuple[str, str], int] = {}
-    for world, assignments in doc.get("valuation", {}).items():
+    by_world = doc.get("valuation", {})
+    if not isinstance(by_world, Mapping):
+        raise ValueError("bad model document: valuation must map worlds to objects")
+    for world, assignments in by_world.items():
+        if not isinstance(assignments, Mapping):
+            raise ValueError(
+                f"bad model document: valuation of {world!r} must map variables to element names"
+            )
         for var, name in assignments.items():
             valuation[(world, var)] = element_from_name(name)
     return Model(frame, valuation, u)

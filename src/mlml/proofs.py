@@ -479,7 +479,14 @@ def derivation_to_dict(derivation: Derivation) -> dict:
 
 def derivation_from_dict(doc: Mapping) -> Derivation:
     steps = []
-    for raw in doc["steps"]:
+    for number, raw in enumerate(doc["steps"]):
+        if not isinstance(raw, Mapping):
+            raise ValueError(f"step {number} is not an object")
+        cites = raw.get("cites", ())
+        if not isinstance(cites, (list, tuple)) or not all(type(k) is int for k in cites):
+            raise ValueError(f"step {number}: cites must be a list of integers")
+        if not isinstance(raw["rule"], str):
+            raise ValueError(f"step {number}: rule must be a string")
         split = None
         if "params" in raw and raw["params"] is not None:
             params = raw["params"]
@@ -495,7 +502,7 @@ def derivation_from_dict(doc: Mapping) -> Derivation:
                     syntax.parse(raw["conclusion"]),
                 ),
                 rule=raw["rule"],
-                cites=tuple(raw.get("cites", ())),
+                cites=tuple(cites),
                 split=split,
             )
         )

@@ -22,6 +22,11 @@ away at construction time: f -> g is stored as ~f | g, f <-> g as the
 conjunction of the two implications, and f ^ g as (f & ~g) | (~f & g).
 Printed output therefore never contains '->', '<->' or '^', and
 parse(format_formula(f)) returns a tree structurally equal to f.
+
+The parser rejects a formula nested deeper than MAX_NESTING levels, counting
+each operator and each pair of parentheses as a level, so that every
+recursive function over a parsed tree stays well inside Python's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -269,10 +274,34 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+MAX_NESTING = 100
+
+_UNARY_TOKENS = {"~": Not, "@": Ball, "[]": Box, "<>": Diamond, "[=]": BoxSame, "[-]": BoxDiff}
+# Binary operator token -> (precedence, right-associative, constructor).
+_BINARY_TOKENS = {
+    "<->": (0, True, Iff),
+    "->": (1, True, Imp),
+    "|": (2, False, Or),
+    "^": (3, False, Xor),
+    "&": (4, False, And),
+}
+
+
 class _Parser:
+    """Precedence climbing over the binary operators, with the prefix
+    operators read in a loop.
+
+    Each method returns a formula with its nesting depth: the levels of
+    operators and parentheses above its deepest leaf as written.  `enclosing`
+    counts the levels known to enclose the current token; it bounds the
+    recursion, which only parentheses and right operands enter, before the
+    depth of what is being parsed is known.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.enclosing = 0
 
     def peek(self) -> tuple[str, int]:
         return self.tokens[self.pos]
@@ -288,75 +317,71 @@ class _Parser:
             raise ParseError(f"unexpected token {tok!r}", offset, (kind,))
         self.advance()
 
-    def parse_formula(self) -> Formula:
-        return self.parse_iff()
+    @staticmethod
+    def limit(depth: int, offset: int) -> int:
+        if depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", offset)
+        return depth
 
-    def parse_iff(self) -> Formula:
-        left = self.parse_imp()
-        if self.peek()[0] == "<->":
+    def parse_formula(self, min_precedence: int = 0) -> tuple[Formula, int]:
+        f, depth = self.parse_unary()
+        while True:
+            tok, offset = self.peek()
+            binary = _BINARY_TOKENS.get(tok)
+            if binary is None or binary[0] < min_precedence:
+                return f, depth
+            precedence, right_associative, build = binary
             self.advance()
-            return Iff(left, self.parse_iff())
-        return left
+            self.enclosing = self.limit(self.enclosing + 1, offset)
+            right, right_depth = self.parse_formula(
+                precedence if right_associative else precedence + 1
+            )
+            self.enclosing -= 1
+            f, depth = build(f, right), self.limit(max(depth, right_depth) + 1, offset)
 
-    def parse_imp(self) -> Formula:
-        left = self.parse_disj()
-        if self.peek()[0] == "->":
-            self.advance()
-            return Imp(left, self.parse_imp())
-        return left
+    def parse_unary(self) -> tuple[Formula, int]:
+        tok, start = self.peek()
+        if tok not in _UNARY_TOKENS:
+            return self.parse_primary()
+        ops = []
+        while self.peek()[0] in _UNARY_TOKENS:
+            tok, offset = self.advance()
+            ops.append(_UNARY_TOKENS[tok])
+            self.limit(self.enclosing + len(ops), offset)
+        self.enclosing += len(ops)
+        f, depth = self.parse_primary()
+        self.enclosing -= len(ops)
+        for op in reversed(ops):
+            f = op(f)
+        return f, self.limit(depth + len(ops), start)
 
-    def parse_disj(self) -> Formula:
-        f = self.parse_xor()
-        while self.peek()[0] == "|":
-            self.advance()
-            f = Or(f, self.parse_xor())
-        return f
-
-    def parse_xor(self) -> Formula:
-        f = self.parse_conj()
-        while self.peek()[0] == "^":
-            self.advance()
-            f = Xor(f, self.parse_conj())
-        return f
-
-    def parse_conj(self) -> Formula:
-        f = self.parse_unary()
-        while self.peek()[0] == "&":
-            self.advance()
-            f = And(f, self.parse_unary())
-        return f
-
-    def parse_unary(self) -> Formula:
-        tok, offset = self.peek()
-        unary = {"~": Not, "@": Ball, "[]": Box, "<>": Diamond, "[=]": BoxSame, "[-]": BoxDiff}
-        if tok in unary:
-            self.advance()
-            return unary[tok](self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> Formula:
+    def parse_primary(self) -> tuple[Formula, int]:
         tok, offset = self.peek()
         if tok == "T":
             self.advance()
-            return Top()
+            return Top(), 0
         if tok == "F":
             self.advance()
-            return Bot()
+            return Bot(), 0
         if tok.startswith("ident:"):
             self.advance()
-            return Var(tok[6:])
+            return Var(tok[6:]), 0
         if tok == "(":
             self.advance()
-            f = self.parse_formula()
+            self.enclosing = self.limit(self.enclosing + 1, offset)
+            f, depth = self.parse_formula()
             self.expect(")")
-            return f
+            self.enclosing -= 1
+            return f, self.limit(depth + 1, offset)
         raise ParseError(f"unexpected token {tok!r}", offset, _FORMULA_START)
 
 
 def parse(text: str) -> Formula:
-    """Parse the ASCII grammar; raises ParseError with offset on bad input."""
+    """Parse the ASCII grammar; raises ParseError with offset on bad input,
+    including a formula nested deeper than MAX_NESTING levels, counting each
+    operator and each pair of parentheses as a level."""
     parser = _Parser(text)
-    f = parser.parse_formula()
+    f, _ = parser.parse_formula()
     tok, offset = parser.peek()
     if tok != "end":
         raise ParseError(f"trailing input {tok!r}", offset, ("end of input",))

@@ -236,3 +236,45 @@ def test_unknown_fixture(capsys):
                        "--formula", "p")
     assert code == 2
     assert "unknown fixture" in err
+
+
+def test_correspond_workers_print_the_same_csv(capsys):
+    args = ("correspond", "--property", "transitive", "--formula", "[]p -> [][]p",
+            "--max-worlds", "3", "--all-ultrafilters", "--csv")
+    code_one, one, _ = run(capsys, *args, "--workers", "1")
+    code_two, two, _ = run(capsys, *args, "--workers", "2")
+    assert code_one == code_two == 1
+    assert two == one
+    lines = one.splitlines()
+    assert len(lines) == 2214 + 2
+    assert lines[-1] == "6+144+13824 frames x 3 ultrafilters, 2214 mismatches"
+
+
+def _document(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_model_valuation_entry_must_be_an_element_name(capsys, tmp_path):
+    path = _document(tmp_path, {"worlds": ["w"], "lattices": {"w": "A"}, "edges": [],
+                                "valuation": {"w": {"p": [1]}}})
+    code, out, err = run(capsys, "eval", "--model", path, "--world", "w", "--formula", "p")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "unknown element name: [1]" in err
+
+
+def test_lattice_key_must_be_a_world(capsys, tmp_path):
+    path = _document(tmp_path, {"worlds": ["w"], "lattices": {"w": "A", "zz": "B"},
+                                "edges": []})
+    code, out, err = run(capsys, "valid", "--frame", path, "--formula", "p")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "unknown world 'zz'" in err
+
+
+def test_proof_cites_must_be_a_list_of_integers(capsys, tmp_path):
+    path = _document(tmp_path, {"steps": [{"premises": ["p"], "conclusion": "p",
+                                           "rule": "Premise", "cites": "0"}]})
+    code, out, err = run(capsys, "checkproof", "--proof", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cites must be a list of integers" in err

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mlml.cli import main
+from mlml.kripke import Frame, Model, eval_formula
 from mlml.syntax import (
+    MAX_NESTING,
     And,
     Ball,
     Bot,
@@ -182,3 +185,46 @@ def test_parser_total_on_arbitrary_text(text):
         parse(text)
     except ParseError as exc:
         assert 0 <= exc.position <= len(text)
+
+
+_NESTED = {
+    "negation": lambda k: "~" * k + "p",
+    "box": lambda k: "[]" * k + "p",
+    "parentheses": lambda k: "(" * k + "p" + ")" * k,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_formulas_at_the_nesting_limit_work_end_to_end(shape, capsys):
+    text = _NESTED[shape](MAX_NESTING)
+    f = parse(text)
+    printed = format_formula(f)
+    assert printed == ("p" if shape == "parentheses" else text)
+    assert parse(printed) == f
+    looped = Frame(("w",), frozenset({("w", "w")}), {"w": "A"})
+    assert eval_formula(Model(looped, {("w", "p"): 1}), "w", f) == 1
+    code = main(["taut4", "--formula", text])
+    out, err = capsys.readouterr()
+    if shape == "box":
+        assert code == 2 and "modal operator" in err
+    else:
+        assert code == 1 and out == "not valid; witness p=0\n"
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_formulas_over_the_nesting_limit_exit_2(shape, capsys):
+    text = _NESTED[shape](MAX_NESTING + 1)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse(text)
+    assert main(["taut4", "--formula", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_nesting_counts_every_operator_and_parenthesis():
+    chain = " & ".join(["p"] * (MAX_NESTING + 1))
+    assert connective_count(parse(chain)) == MAX_NESTING
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse(chain + " & p")
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse("~" * (MAX_NESTING - 1) + "(p | q)")
