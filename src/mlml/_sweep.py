@@ -26,6 +26,18 @@ frames compile it once and pass the program.  A variable's vector depends
 only on the slot count, its slot and the world's carrier, so the vectors come
 from a small fixed-size cache shared by every sweep.
 
+The correspondence battery packs the relation axis as well.  A sweep over a
+`RelationChunk` covers one labelling of n worlds and a power-of-two-aligned
+range of R relation bitmasks, relation-major: relation r's N valuations
+occupy groups [r*N, (r+1)*N) of every operand.  An edge w->u is then a mask
+rather than a successor: for the relations lacking it, the chunk's
+`relation_bit_pattern` marks their blocks, and box ORs that mask into the
+successor's down-interpreted value before the meet.  An edge whose bit lies
+above the range's varying low bits is on or off for the whole chunk and goes
+into the plain successor lists, so a one-relation chunk, and any single
+`Frame`, evaluate exactly as before.  `relation_chunk_width` keeps R*N at
+most 2**16 groups.
+
 The definitional single-model evaluator lives in kripke.py; the test suite
 checks the two agree on random formulas and frames.
 """
@@ -159,16 +171,64 @@ def _replicate(block: int, block_groups: int, copies: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _var_vector(slot_count: int, slot: int, domain: tuple[int, ...]) -> int:
+def _var_vector(slot_count: int, slot: int, domain: tuple[int, ...], relations: int = 1) -> int:
     """Packed value of the variable in `slot` at a world whose slot digits
-    range over `domain`, across all len(domain) ** slot_count valuations."""
+    range over `domain`, across all len(domain) ** slot_count valuations,
+    repeated for each of `relations` relations (a power of two)."""
     base = len(domain)
     run = base ** (slot_count - 1 - slot)
     run_ones = ((1 << (3 * run)) - 1) // 7
     block = 0
     for digit, value in enumerate(domain):
         block |= (value * run_ones) << (3 * run * digit)
-    return _replicate(block, run * base, base ** slot)
+    return _replicate(block, run * base, base ** slot * relations)
+
+
+# ---------------------------------------------------------------------------
+# Relation chunks
+# ---------------------------------------------------------------------------
+
+MAX_PACKED_GROUPS = 1 << 16
+
+
+def relation_chunk_width(worlds: int, variables: int) -> int:
+    """Relations per packed sweep: as many as keep relations times the
+    4 ** (worlds * variables) valuations at most MAX_PACKED_GROUPS, but at
+    least one and at most all 2 ** (worlds * worlds); a power of two."""
+    fit = MAX_PACKED_GROUPS // 4 ** (worlds * variables)
+    return max(1, min(fit, 1 << (worlds * worlds)))
+
+
+@lru_cache(maxsize=128)
+def relation_bit_pattern(bit: int, unit_bits: int, count: int) -> int:
+    """`count` units of `unit_bits` bits each, unit r all ones iff bit `bit`
+    of r is set (count a power of two)."""
+    half = unit_bits << bit
+    total = unit_bits * count
+    if half >= total:
+        return 0
+    value = ((1 << half) - 1) << half
+    span = 2 * half
+    while span < total:
+        value |= value << span
+        span *= 2
+    return value
+
+
+@dataclass(frozen=True)
+class RelationChunk:
+    """Every frame on the labelled worlds whose relation bitmask lies in
+    `relations`: 2**k consecutive masks starting at a multiple of 2**k.  Bit
+    i*n+j of a mask means world i reaches world j."""
+
+    worlds: tuple[str, ...]
+    labels: tuple[str, ...]
+    relations: range
+
+    def __post_init__(self) -> None:
+        count, start = len(self.relations), self.relations.start
+        if not count or count & (count - 1) or start % count or self.relations.step != 1:
+            raise ValueError(f"{self.relations!r} is not an aligned power-of-two range")
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +237,23 @@ def _var_vector(slot_count: int, slot: int, domain: tuple[int, ...]) -> int:
 
 
 class FrameSweep:
-    """All valuations of one frame, evaluated in parallel.
+    """All valuations of one frame, or of every frame in a RelationChunk,
+    evaluated in parallel.
+
+    Masks and values hold one 3-bit group per valuation of the frame, or per
+    (relation, valuation) pair of the chunk, relation-major; valuation
+    indices, as `decode_valuation` reads them, count within one relation.
 
     With binary=True each slot ranges over {0, 1} instead of the world's full
     carrier, which is the classical-fragment comparison mode.
     """
 
+    relations = range(1)  # the relation bitmasks swept: a chunk's, or one frame's
+    _gated = False  # whether some edge is in only some of the relations
+
     def __init__(
         self,
-        frame: "Frame",
+        frame: "Frame | RelationChunk",
         var_names: Sequence[str],
         binary: bool = False,
         max_valuations: int | None = DEFAULT_MAX_VALUATIONS,
@@ -193,15 +261,15 @@ class FrameSweep:
         self.frame = frame
         self.var_names = tuple(var_names)
         self.worlds = worlds = frame.worlds
-        self._labels = labels = [frame.lattice_of[w] for w in worlds]
+        chunk = isinstance(frame, RelationChunk)
+        if chunk:
+            self._labels = labels = list(frame.labels)
+        else:
+            self._labels = labels = [frame.lattice_of[w] for w in worlds]
         # Per world: its successors in its own lattice and in the others.
-        index = {w: i for i, w in enumerate(worlds)}
         self._same: list[list[int]] = [[] for _ in worlds]
         self._diff: list[list[int]] = [[] for _ in worlds]
-        for w, v in frame.relation:
-            wi, ui = index[w], index[v]
-            (self._same if labels[wi] == labels[ui] else self._diff)[wi].append(ui)
-        self._no_succ: list[list[int]] = [[]] * len(worlds)
+        self._no_succ: list[list] = [[]] * len(worlds)
         if binary:
             self._domains = [(BOT, TOP)] * len(worlds)
         else:
@@ -213,12 +281,42 @@ class FrameSweep:
             raise ResourceBudgetExceeded(
                 f"{self.valuation_count} valuations exceed the cap of {max_valuations}"
             )
-        self._full = (1 << (3 * self.valuation_count)) - 1
+        self._block_full = self._full = (1 << (3 * self.valuation_count)) - 1
+        if chunk:
+            self._chunk_edges(frame.relations)
+        else:
+            index = {w: i for i, w in enumerate(worlds)}
+            for w, v in frame.relation:
+                wi, ui = index[w], index[v]
+                (self._same if labels[wi] == labels[ui] else self._diff)[wi].append(ui)
         self._ones = self._full // 7
         # Interned results: (op, argument ids) -> id, and id -> per-world values.
         self._ids: dict[tuple[int, object, int], int] = {}
         self._results: list[list[int]] = []
         self._last: tuple[object, list[int]] | None = None
+
+    def _chunk_edges(self, relations: range) -> None:
+        """Widen the operands to every relation of the chunk and sort its
+        edges: one every relation has is a successor, one only some have is
+        gated by the mask of the relations lacking it, and one none has is
+        left out."""
+        self.relations = relations
+        count, start = len(relations), relations.start
+        block_bits = 3 * self.valuation_count
+        self._full = (1 << (block_bits * count)) - 1
+        self._gated = count > 1
+        n = len(self.worlds)
+        self._same_gated: list[list] = [[] for _ in range(n)]
+        self._diff_gated: list[list] = [[] for _ in range(n)]
+        for wi in range(n):
+            for ui in range(n):
+                bit = wi * n + ui
+                same = self._labels[wi] == self._labels[ui]
+                if 1 << bit < count:
+                    off = self._full ^ relation_bit_pattern(bit, block_bits, count)
+                    (self._same_gated if same else self._diff_gated)[wi].append((ui, off))
+                elif start >> bit & 1:
+                    (self._same if same else self._diff)[wi].append(ui)
 
     # -- packed operators ---------------------------------------------------
 
@@ -249,13 +347,36 @@ class FrameSweep:
             out.append(acc)
         return out
 
+    def _gate(self, out: list[int], sub: list[int], same_gated: list[list],
+              diff_gated: list[list]) -> list[int]:
+        """Meet into each world's value from _box its gated successors: each
+        value, down-interpreted as there, joined with its edge's mask, the
+        all-ones block of every relation lacking the edge."""
+        ones = self._ones
+        for wi, (label, same_gates, diff_gates) in enumerate(
+            zip(self._labels, same_gated, diff_gated)
+        ):
+            acc = out[wi]
+            for ui, off in same_gates:
+                acc &= sub[ui] | off
+            if diff_gates:
+                atom_bit, co_lo, co_hi = _DOWN_SHAPE[label]
+                atoms = ones << atom_bit
+                for ui, off in diff_gates:
+                    v = sub[ui]
+                    pair = (v >> co_lo) & (v >> co_hi) & ones
+                    acc &= (v & atoms) | (pair << co_lo) | (pair << co_hi) | off
+            out[wi] = acc
+        return out
+
     def _variable(self, name: str) -> list[int]:
         if name not in self.var_names:
             raise KeyError(f"variable {name!r} not covered by this sweep")
         slot = self.var_names.index(name)
         stride = len(self.var_names)
+        relations = len(self.relations)
         return [
-            _var_vector(self._slot_count, wi * stride + slot, domain)
+            _var_vector(self._slot_count, wi * stride + slot, domain, relations)
             for wi, domain in enumerate(self._domains)
         ]
 
@@ -277,11 +398,15 @@ class FrameSweep:
             return [x | y for x, y in zip(sub, self._results[b])]
         if op == BALL:
             return [self._ball(v) for v in sub]
+        none = self._no_succ
         if op == BOX:
-            return self._box(sub, self._same, self._diff)
+            out = self._box(sub, self._same, self._diff)
+            return self._gate(out, sub, self._same_gated, self._diff_gated) if self._gated else out
         if op == BOX_SAME:
-            return self._box(sub, self._same, self._no_succ)
-        return self._box(sub, self._no_succ, self._diff)
+            out = self._box(sub, self._same, none)
+            return self._gate(out, sub, self._same_gated, none) if self._gated else out
+        out = self._box(sub, none, self._diff)
+        return self._gate(out, sub, none, self._diff_gated) if self._gated else out
 
     # -- evaluation ---------------------------------------------------------
 
@@ -356,6 +481,36 @@ class FrameSweep:
 
     def first_invalid_index(self, f: Union[Formula, Program], u: Ultrafilter) -> int | None:
         return self.countermodel_index((), f, u)
+
+    # -- per-relation reductions of a chunk -----------------------------------
+
+    def relations_meeting(self, mask: int) -> int:
+        """Bit r set iff the group-aligned mask has a bit in the block of the
+        chunk's r-th relation."""
+        block = 3 * self.valuation_count
+        if block % 8:
+            # Fewer than eight valuations: fold each block onto its first bit.
+            span = 3
+            while span < block:
+                mask |= mask >> span
+                span *= 2
+            return int(format(mask, "b")[::-1][::block][::-1], 2)
+        size = block // 8
+        data = mask.to_bytes(size * len(self.relations), "little")
+        zero = bytes(size)
+        found = 0
+        for r, at in enumerate(range(0, len(data), size)):
+            if data[at:at + size] != zero:
+                found |= 1 << r
+        return found
+
+    def lowest_index(self, mask: int, relation: int) -> int | None:
+        """Lowest valuation index with its bit set in the block of the
+        chunk's given relation, or None."""
+        block = (mask >> (3 * self.valuation_count * relation)) & self._block_full
+        if block == 0:
+            return None
+        return ((block & -block).bit_length() - 1) // 3
 
     def decode_valuation(self, index: int) -> dict[tuple[str, str], int]:
         """The valuation at the given index, as a (world, variable) map."""

@@ -8,6 +8,11 @@ over the labels A < B < C.  That yields 2**(n*n) * 3**n frames per world
 count.  An optional reduction keeps only the least frame of each orbit under
 simultaneous world permutations.
 
+Each property is a list of clauses over the relation's edge bits, in world
+order; the first failing clause is the property's violation on a frame, and
+the same clauses give its truth on a whole chunk of relation bitmasks at
+once, which is how the correspondence harness checks it.
+
 Besides the five textbook relational properties, the lattice labels support
 properties of their own: a world is "out of the bubble" when having any
 successor forces a successor in a different lattice, "super out of the
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator
 
@@ -28,13 +34,17 @@ from .algebra import Ultrafilter
 from ._sweep import (
     DEFAULT_MAX_VALUATIONS,
     FrameSweep,
+    RelationChunk,
     ResourceBudgetExceeded,
     compile_formula,
+    relation_bit_pattern,
+    relation_chunk_width,
 )
 from .kripke import Frame, Model, _resolve_ultrafilters
 from .syntax import Formula
 
 __all__ = [
+    "ClauseViolation",
     "FrameProperty",
     "PROPERTIES",
     "is_reflexive",
@@ -60,124 +70,177 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Property predicates, each with a witness finder for its violations
+# Properties as clauses over relation bits
 # ---------------------------------------------------------------------------
 
-
-def _reflexive_violation(f: Frame) -> tuple | None:
-    for w in f.worlds:
-        if (w, w) not in f.relation:
-            return (w,)
-    return None
-
-
-def _serial_violation(f: Frame) -> tuple | None:
-    for w in f.worlds:
-        if not any((w, u) in f.relation for u in f.worlds):
-            return (w,)
-    return None
+# A clause (witness, required, forbidden) fails on a relation bitmask holding
+# every edge bit of `required` and none of `forbidden`; the witness is a
+# tuple of world indices.  A property on n labelled worlds is the list of its
+# clauses in world order, and its first failing clause is its violation.
+Clause = tuple[tuple[int, ...], int, int]
 
 
-def _symmetric_violation(f: Frame) -> tuple | None:
-    for w, u in f.relation:
-        if (u, w) not in f.relation:
-            return (w, u)
-    return None
+def _edge(n: int, w: int, u: int) -> int:
+    return 1 << (w * n + u)
 
 
-def _transitive_violation(f: Frame) -> tuple | None:
-    for w, u in f.relation:
-        for v in f.worlds:
-            if (u, v) in f.relation and (w, v) not in f.relation:
-                return (w, u, v)
-    return None
+def _reflexive(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
+    for w in range(n):
+        yield (w,), 0, _edge(n, w, w)
 
 
-def _euclidean_violation(f: Frame) -> tuple | None:
-    for w in f.worlds:
-        for u in f.worlds:
-            if (w, u) not in f.relation:
+def _serial(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
+    for w in range(n):
+        yield (w,), 0, sum(_edge(n, w, u) for u in range(n))
+
+
+def _symmetric(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
+    for w in range(n):
+        for u in range(n):
+            yield (w, u), _edge(n, w, u), _edge(n, u, w)
+
+
+def _two_step(n: int, keep: Callable[[int, int, int], bool]) -> Iterator[Clause]:
+    """w->u and u->v force w->v, for the triples `keep` selects."""
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                if keep(w, u, v):
+                    yield (w, u, v), _edge(n, w, u) | _edge(n, u, v), _edge(n, w, v)
+
+
+def _transitive(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
+    return _two_step(n, lambda w, u, v: True)
+
+
+def _euclidean(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                yield (w, u, v), _edge(n, w, u) | _edge(n, w, v), _edge(n, u, v)
+
+
+def _out_of_bubble(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
+    """A world with a successor in its own lattice needs one in another."""
+    for w in range(n):
+        foreign = sum(_edge(n, w, u) for u in range(n) if labels[u] != labels[w])
+        for u in range(n):
+            if labels[u] == labels[w]:
+                yield (w,), _edge(n, w, u), foreign
+
+
+def _super_out_of_bubble(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
+    """Out of the bubble, and a successor in a second lattice forces one in
+    the third."""
+    yield from _out_of_bubble(n, labels)
+    for w in range(n):
+        for u in range(n):
+            if labels[u] == labels[w]:
                 continue
-            for v in f.worlds:
-                if (w, v) in f.relation and (u, v) not in f.relation:
-                    return (w, u, v)
-    return None
+            third = ({"A", "B", "C"} - {labels[w], labels[u]}).pop()
+            yield (w, u), _edge(n, w, u), sum(
+                _edge(n, w, v) for v in range(n) if labels[v] == third
+            )
 
 
-def _out_of_bubble_violation(f: Frame) -> tuple | None:
-    for w in f.worlds:
-        succ = f.successors(w)
-        if not succ:
-            continue
-        if not any(f.lattice_of[u] != f.lattice_of[w] for u in succ):
-            return (w,)
-    return None
+def _tte(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
+    return _two_step(n, lambda w, u, v: labels[w] == labels[u] == labels[v])
 
 
-def _super_out_of_bubble_violation(f: Frame) -> tuple | None:
-    bad = _out_of_bubble_violation(f)
-    if bad is not None:
-        return bad
-    for w, u in f.relation:
-        if f.lattice_of[w] == f.lattice_of[u]:
-            continue
-        third = {"A", "B", "C"} - {f.lattice_of[w], f.lattice_of[u]}
-        if not any(
-            f.lattice_of[v] in third for v in f.successors(w)
-        ):
-            return (w, u)
-    return None
+def _ttd(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
+    return _two_step(n, lambda w, u, v: labels[w] != labels[u] == labels[v])
 
 
-def _tte_violation(f: Frame) -> tuple | None:
-    for w, u in f.relation:
-        if f.lattice_of[w] != f.lattice_of[u]:
-            continue
-        for v in f.worlds:
-            if (
-                (u, v) in f.relation
-                and f.lattice_of[v] == f.lattice_of[w]
-                and (w, v) not in f.relation
-            ):
-                return (w, u, v)
-    return None
+@lru_cache(maxsize=1024)
+def _clause_table(clauses: Callable, n: int, labels: tuple[str, ...]) -> tuple[Clause, ...]:
+    """The clauses that can fail: none that forbids an edge it requires."""
+    return tuple(c for c in clauses(n, labels) if not c[1] & c[2])
 
 
-def _ttd_violation(f: Frame) -> tuple | None:
-    for w, u in f.relation:
-        if f.lattice_of[w] == f.lattice_of[u]:
-            continue
-        for v in f.worlds:
-            if (
-                (u, v) in f.relation
-                and f.lattice_of[v] == f.lattice_of[u]
-                and (w, v) not in f.relation
-            ):
-                return (w, u, v)
-    return None
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True)
+class ClauseViolation:
+    """The violation finder of a property given by clauses: the witness of
+    the first clause, in world order, that fails on the frame."""
+
+    clauses: Callable[[int, tuple[str, ...]], Iterable[Clause]]
+
+    def __call__(self, frame: Frame) -> tuple | None:
+        worlds = frame.worlds
+        bits = _relation_bits(frame)
+        labels = tuple(frame.lattice_of[w] for w in worlds)
+        for witness, required, forbidden in _clause_table(self.clauses, len(worlds), labels):
+            if bits & required == required and not bits & forbidden:
+                return tuple(worlds[i] for i in witness)
+        return None
 
 
 @dataclass(frozen=True)
 class FrameProperty:
+    """A named frame property, given by its violation finder.
+
+    A finder carrying a `clauses` attribute, as ClauseViolation does (and
+    any wrapper made with functools.wraps around it), is also checked on
+    relation bitmasks: `relation_mask` answers for a whole chunk of relations
+    at once.  Any other finder is called frame by frame.
+    """
+
     name: str
     violation: Callable[[Frame], tuple | None]
 
     def holds(self, frame: Frame) -> bool:
         return self.violation(frame) is None
 
+    def relation_mask(
+        self, worlds: tuple[str, ...], labels: tuple[str, ...], relations: range
+    ) -> int:
+        """Bit r set iff the frame on the labelled worlds whose relation
+        bitmask is relations[r] has the property; `relations` is aligned as
+        for a RelationChunk."""
+        count = len(relations)
+        every = (1 << count) - 1
+        clauses = getattr(self.violation, "clauses", None)
+        if clauses is None:
+            return sum(
+                1 << r
+                for r, bits in enumerate(relations)
+                if self.holds(_frame_from_bits(worlds, labels, bits))
+            )
+        n = len(worlds)
+        edges = [
+            relation_bit_pattern(k, 1, count) if 1 << k < count
+            else every if relations.start >> k & 1 else 0
+            for k in range(n * n)
+        ]
+        failing = 0
+        for _, required, forbidden in _clause_table(clauses, n, labels):
+            fails = every
+            for k in _bits(required):
+                fails &= edges[k]
+            for k in _bits(forbidden):
+                fails &= ~edges[k]
+            failing |= fails
+        return every & ~failing
+
 
 PROPERTIES: dict[str, FrameProperty] = {
     p.name: p
     for p in (
-        FrameProperty("reflexive", _reflexive_violation),
-        FrameProperty("serial", _serial_violation),
-        FrameProperty("symmetric", _symmetric_violation),
-        FrameProperty("transitive", _transitive_violation),
-        FrameProperty("euclidean", _euclidean_violation),
-        FrameProperty("out_of_bubble", _out_of_bubble_violation),
-        FrameProperty("super_out_of_bubble", _super_out_of_bubble_violation),
-        FrameProperty("transitive_through_equality", _tte_violation),
-        FrameProperty("transitive_through_difference", _ttd_violation),
+        FrameProperty("reflexive", ClauseViolation(_reflexive)),
+        FrameProperty("serial", ClauseViolation(_serial)),
+        FrameProperty("symmetric", ClauseViolation(_symmetric)),
+        FrameProperty("transitive", ClauseViolation(_transitive)),
+        FrameProperty("euclidean", ClauseViolation(_euclidean)),
+        FrameProperty("out_of_bubble", ClauseViolation(_out_of_bubble)),
+        FrameProperty("super_out_of_bubble", ClauseViolation(_super_out_of_bubble)),
+        FrameProperty("transitive_through_equality", ClauseViolation(_tte)),
+        FrameProperty("transitive_through_difference", ClauseViolation(_ttd)),
     )
 }
 
@@ -202,6 +265,7 @@ def _world_names(n: int) -> tuple[str, ...]:
     return tuple(f"w{i + 1}" for i in range(n))
 
 
+@lru_cache(maxsize=512)  # one edge set per relation, shared by its labelled frames
 def _relation_from_bits(worlds: tuple[str, ...], bits: int) -> frozenset[tuple[str, str]]:
     n = len(worlds)
     return frozenset(
@@ -210,6 +274,10 @@ def _relation_from_bits(worlds: tuple[str, ...], bits: int) -> frozenset[tuple[s
         for j in range(n)
         if bits >> (i * n + j) & 1
     )
+
+
+def _frame_from_bits(worlds: tuple[str, ...], labels: tuple[str, ...], bits: int) -> Frame:
+    return Frame(worlds, _relation_from_bits(worlds, bits), dict(zip(worlds, labels)))
 
 
 def _relation_bits(frame: Frame) -> int:
@@ -301,28 +369,45 @@ class CorrespondenceReport:
         return {m.direction for m in self.mismatches}
 
 
-def _correspondence_chunk(job: tuple) -> tuple[int, list[Mismatch]]:
-    """Check every frame on n worlds whose relation lies in the job's range."""
+def _correspondence_chunk(job: tuple) -> tuple[int, list[tuple[tuple, Mismatch]]]:
+    """Check every frame on n worlds whose relation lies in the job's range:
+    one packed sweep per labelling and chunk of relations, with validity and
+    the property reduced to one bit per relation.  A Frame is built only for
+    a relation on which the two disagree.  Each mismatch comes with its sort
+    key (world count, frame encoding, ultrafilter name)."""
     prop, formula, n, relations, selected, max_valuations, deadline = job
     var_names = syntax.variables(formula)
     program = compile_formula(formula)
+    worlds = _world_names(n)
+    width = min(len(relations), relation_chunk_width(n, len(var_names)))
     checked = 0
-    found: list[Mismatch] = []
-    for frame in enumerate_frames(n, relations=relations):
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceBudgetExceeded("time budget exhausted")
-        checked += 1
-        has_property = prop.holds(frame)
-        sweep = FrameSweep(frame, var_names, max_valuations=max_valuations)
-        for u in selected:
-            index = sweep.first_invalid_index(program, u)
-            if index is None and not has_property:
-                found.append(
-                    Mismatch(frame, u, "valid_without_property", prop.violation(frame))
-                )
-            elif index is not None and has_property:
-                counter = Model(frame, sweep.decode_valuation(index), u)
-                found.append(Mismatch(frame, u, "property_without_valid", counter))
+    found: list[tuple[tuple, Mismatch]] = []
+    for labels in product("ABC", repeat=n):
+        for lo in range(relations.start, relations.stop, width):
+            if deadline is not None and time.monotonic() > deadline:
+                raise ResourceBudgetExceeded("time budget exhausted")
+            chunk = range(lo, lo + width)
+            checked += width
+            holds = prop.relation_mask(worlds, labels, chunk)
+            sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
+                               max_valuations=max_valuations)
+            frames: dict[int, tuple[Frame, str]] = {}
+            for u in selected:
+                invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
+                valid = ((1 << width) - 1) ^ sweep.relations_meeting(invalid)
+                for r in _bits(valid ^ holds):
+                    if r not in frames:
+                        frames[r] = (_frame_from_bits(worlds, labels, lo + r),
+                                     f"{n}:{lo + r}:{''.join(labels)}")
+                    frame, encoding = frames[r]
+                    if holds >> r & 1:
+                        valuation = sweep.decode_valuation(sweep.lowest_index(invalid, r))
+                        mismatch = Mismatch(frame, u, "property_without_valid",
+                                            Model(frame, valuation, u))
+                    else:
+                        mismatch = Mismatch(frame, u, "valid_without_property",
+                                            prop.violation(frame))
+                    found.append(((n, encoding, u.name), mismatch))
     return checked, found
 
 
@@ -343,12 +428,15 @@ def correspondence_check(
     "the formula is frame-valid" and "the frame has the property" holds; the
     witness is a countermodel in the property-without-validity direction and
     a property violation in the other.  Mismatches are reported sorted by
-    the canonical frame encoding.
+    world count, then the frame encoding as a string, then ultrafilter.
 
-    The frames are split into chunks of relation bitmasks, checked in this
+    The frames are split into jobs of relation bitmasks, checked in this
     process when workers == 1 and across a process pool otherwise; both
-    honour the frame and time budgets.  A property not in PROPERTIES always
-    runs in this process.
+    honour the frame and time budgets.  A job sweeps each labelling over
+    chunks of relations packed into one operand (see _sweep), so the
+    witness of a property-without-validity mismatch is the canonically
+    first countermodel on its frame, as a per-frame sweep would find it.  A
+    property not in PROPERTIES always runs in this process.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -374,7 +462,7 @@ def correspondence_check(
     jobs = []
     for n in range(1, max_worlds + 1):
         total_bits = 1 << (n * n)
-        step = max(1, total_bits // (workers * 4))
+        step = 1 << (max(1, total_bits // (workers * 4)).bit_length() - 1)
         for lo in range(0, total_bits, step):
             jobs.append((prop, formula, n, range(lo, min(lo + step, total_bits)),
                          selected, max_valuations, deadline))
@@ -386,13 +474,12 @@ def correspondence_check(
             results = list(pool.map(_correspondence_chunk, jobs))
     else:
         results = map(_correspondence_chunk, jobs)
+    keyed: list[tuple[tuple, Mismatch]] = []
     for checked, found in results:
         report.frames_checked += checked
-        report.mismatches.extend(found)
-
-    report.mismatches.sort(
-        key=lambda m: (len(m.frame.worlds), frame_encoding(m.frame), m.ultrafilter.name)
-    )
+        keyed.extend(found)
+    keyed.sort(key=lambda pair: pair[0])
+    report.mismatches = [mismatch for _, mismatch in keyed]
     return report
 
 

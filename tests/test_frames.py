@@ -231,3 +231,182 @@ def test_sweep_matches_scalar_on_seven_world_fixture():
             for index in (0, 1, 4097, 9000, sweep.valuation_count - 1):
                 model = Model(frame, sweep.decode_valuation(index), u)
                 assert bool(mask >> (3 * index) & 1) == model_valid(model, f)
+
+
+# ---------------------------------------------------------------------------
+# Properties on relation bitmasks, and the packed correspondence harness
+# ---------------------------------------------------------------------------
+
+
+def _reference_violations(name, frame):
+    """Every violation of the named property, in world order, straight from
+    the textbook definitions."""
+    worlds, edges, label = frame.worlds, frame.relation, frame.lattice_of
+
+    def successors(w):
+        return [v for v in worlds if (w, v) in edges]
+
+    if name in ("out_of_bubble", "super_out_of_bubble"):
+        for w in worlds:
+            if successors(w) and all(label[v] == label[w] for v in successors(w)):
+                yield (w,)
+    if name == "super_out_of_bubble":
+        for w in worlds:
+            for u in worlds:
+                if (w, u) in edges and label[w] != label[u]:
+                    third = ({"A", "B", "C"} - {label[w], label[u]}).pop()
+                    if all(label[v] != third for v in successors(w)):
+                        yield (w, u)
+    for w in worlds:
+        if name == "reflexive" and (w, w) not in edges:
+            yield (w,)
+        if name == "serial" and not successors(w):
+            yield (w,)
+        for u in worlds:
+            if name == "symmetric" and (w, u) in edges and (u, w) not in edges:
+                yield (w, u)
+            for v in worlds:
+                step = (w, u) in edges and (u, v) in edges and (w, v) not in edges
+                if (
+                    name == "transitive" and step
+                    or name == "euclidean"
+                    and (w, u) in edges and (w, v) in edges and (u, v) not in edges
+                    or name == "transitive_through_equality"
+                    and step and label[w] == label[u] == label[v]
+                    or name == "transitive_through_difference"
+                    and step and label[w] != label[u] == label[v]
+                ):
+                    yield (w, u, v)
+
+
+def test_properties_match_their_definitions_on_every_small_frame():
+    """On every frame with up to three worlds: each predicate's first
+    violation is the textbook definition's first in world order, and the
+    packed relation mask, over chunks of every aligned width, agrees."""
+    from itertools import product
+
+    for n in (1, 2, 3):
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        total = 1 << (n * n)
+        relations = [frozenset((worlds[i], worlds[j]) for i in range(n) for j in range(n)
+                               if bits >> (i * n + j) & 1) for bits in range(total)]
+        for labels in product("ABC", repeat=n):
+            frames = [Frame(worlds, edges, dict(zip(worlds, labels))) for edges in relations]
+            for name, prop in PROPERTIES.items():
+                expected = [next(_reference_violations(name, f), None) for f in frames]
+                assert [prop.violation(f) for f in frames] == expected, (name, labels)
+                width = 1
+                while width <= total:
+                    for start in range(0, total, width):
+                        mask = prop.relation_mask(worlds, labels, range(start, start + width))
+                        assert mask == sum(1 << r for r in range(width)
+                                           if expected[start + r] is None), (name, labels)
+                    width *= 8 if n == 3 else 2
+
+
+_WITNESS_DIGEST = """
+import hashlib, sys
+from mlml.frames import PROPERTIES, enumerate_frames
+digest = hashlib.sha256()
+for n in (1, 2, 3):
+    for frame in enumerate_frames(n):
+        for prop in PROPERTIES.values():
+            digest.update(repr(prop.violation(frame)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_violation_witnesses_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = [
+        subprocess.Popen([sys.executable, "-c", _WITNESS_DIGEST], stdout=subprocess.PIPE,
+                         text=True, env={**os.environ, "PYTHONPATH": src,
+                                         "PYTHONHASHSEED": seed})
+        for seed in ("1", "3")
+    ]
+    digests = [run.communicate(timeout=300)[0] for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert digests[0] == digests[1] != ""
+
+
+def test_transitive_witness_is_the_first_in_world_order():
+    worlds = ("w1", "w2", "w3")
+    edges = {("w1", "w2"), ("w2", "w3"), ("w3", "w1"), ("w1", "w3"), ("w2", "w1")}
+    frame = Frame(worlds, frozenset(edges), {w: "A" for w in worlds})
+    assert PROPERTIES["transitive"].violation(frame) == ("w1", "w2", "w1")
+
+
+def test_property_without_clauses_runs_frame_by_frame():
+    """A property given only by its predicate yields the same mismatches,
+    witnesses included."""
+    from mlml.frames import FrameProperty
+
+    builtin = PROPERTIES["symmetric"]
+    plain = FrameProperty("symmetric", lambda frame: builtin.violation(frame))
+    for formula in ("p -> []<>p", "<>p -> []p"):
+        a = correspondence_check(builtin, formula, 2)
+        b = correspondence_check(plain, formula, 2)
+        assert a.directions() == b.directions()
+        assert [(frame_encoding(m.frame), m.ultrafilter.name, m.direction, m.witness)
+                for m in a.mismatches] == [
+                   (frame_encoding(m.frame), m.ultrafilter.name, m.direction, m.witness)
+                   for m in b.mismatches]
+
+
+def test_width_capped_chunks_match_one_sweep_per_frame():
+    """A two-variable formula at three worlds splits each labelling into
+    chunks of 16 relations; one worker, two workers and a per-frame loop
+    report the same mismatches, in both directions."""
+    from mlml._sweep import FrameSweep, compile_formula
+    from mlml.algebra import Ultrafilter
+    from mlml.kripke import model_to_dict
+
+    prop = PROPERTIES["super_out_of_bubble"]
+    formula = parse("[](p | q) -> p | q")
+    program = compile_formula(formula)
+    u = Ultrafilter.from_name("e2")
+
+    def row(frame, direction, witness):
+        if isinstance(witness, Model):
+            witness = model_to_dict(witness)
+        return len(frame.worlds), frame_encoding(frame), direction, witness
+
+    expected = []
+    for n in (1, 2, 3):
+        for frame in enumerate_frames(n):
+            sweep = FrameSweep(frame, ("p", "q"))
+            holds = prop.holds(frame)
+            index = sweep.first_invalid_index(program, u)
+            if holds and index is not None:
+                model = Model(frame, sweep.decode_valuation(index), u)
+                expected.append(row(frame, "property_without_valid", model))
+            elif not holds and index is None:
+                expected.append(row(frame, "valid_without_property", prop.violation(frame)))
+    expected.sort(key=lambda r: r[:2])
+    assert {r[2] for r in expected} == {"property_without_valid", "valid_without_property"}
+    for workers in (1, 2):
+        report = correspondence_check(prop, formula, 3, u, workers=workers)
+        assert report.frames_checked == 6 + 144 + 13824
+        assert all(m.ultrafilter == u for m in report.mismatches)
+        assert [row(m.frame, m.direction, m.witness) for m in report.mismatches] == expected
+
+
+def test_correspondence_witnesses_replay_on_the_definitional_evaluator():
+    from mlml.kripke import first_failing_world
+
+    replayed = 0
+    for name, text in (("transitive", "[]p -> [][]p"), ("euclidean", "<>p -> []<>p")):
+        formula = parse(text)
+        report = correspondence_check(name, formula, 3)
+        for m in report.mismatches:
+            assert m.direction == "property_without_valid"
+            assert PROPERTIES[name].holds(m.frame)
+            assert m.witness.frame is m.frame and m.witness.ultrafilter is m.ultrafilter
+            assert first_failing_world(m.witness, formula) is not None
+            replayed += 1
+    assert replayed == 2214 + 1626
