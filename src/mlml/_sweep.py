@@ -26,13 +26,14 @@ frames compile it once and pass the program.  A variable's vector depends
 only on the slot count, its slot and the world's carrier, so the vectors come
 from a small fixed-size cache shared by every sweep.
 
-The correspondence battery packs the relation axis as well.  A sweep over a
-`RelationChunk` covers one labelling of n worlds and a power-of-two-aligned
-range of R relation bitmasks, relation-major: relation r's N valuations
-occupy groups [r*N, (r+1)*N) of every operand.  An edge w->u is then a mask
-rather than a successor: for the relations lacking it, the chunk's
-`relation_bit_pattern` marks their blocks, and box ORs that mask into the
-successor's down-interpreted value before the meet.  An edge whose bit lies
+The correspondence battery and the countermodel search pack the relation
+axis as well.  A sweep over a `RelationChunk` covers one labelling of n
+worlds and a power-of-two-aligned range of R relation bitmasks,
+relation-major: relation r's N valuations occupy groups [r*N, (r+1)*N) of
+every operand.  An edge w->u is then a mask rather than a successor: for
+the relations lacking it, the chunk's `relation_bit_pattern` marks their
+blocks, and box ORs that mask into the successor's down-interpreted value
+before the meet.  An edge whose bit lies
 above the range's varying low bits is on or off for the whole chunk and goes
 into the plain successor lists, so a one-relation chunk, and any single
 `Frame`, evaluate exactly as before.  `relation_chunk_width` keeps R*N at
@@ -461,6 +462,21 @@ class FrameSweep:
     def is_frame_valid(self, f: Union[Formula, Program], u: Ultrafilter) -> bool:
         return self.valid_mask(f, u) == self._ones
 
+    def countermodel_mask(
+        self,
+        premises: Iterable[Union[Formula, Program]],
+        goal: Union[Formula, Program],
+        u: Ultrafilter,
+    ) -> int:
+        """Group-aligned mask of the valuations globally satisfying every
+        premise but not the goal."""
+        mask = self._ones
+        for premise in premises:
+            mask &= self.valid_mask(premise, u)
+            if mask == 0:
+                return 0
+        return mask & (self.valid_mask(goal, u) ^ self._ones)
+
     def countermodel_index(
         self,
         premises: Iterable[Union[Formula, Program]],
@@ -468,16 +484,8 @@ class FrameSweep:
         u: Ultrafilter,
     ) -> int | None:
         """Lowest valuation index globally satisfying every premise but not
-        the goal, or None."""
-        mask = self._ones
-        for premise in premises:
-            mask &= self.valid_mask(premise, u)
-            if mask == 0:
-                return None
-        bad = mask & (self.valid_mask(goal, u) ^ self._ones)
-        if bad == 0:
-            return None
-        return ((bad & -bad).bit_length() - 1) // 3
+        the goal, or None; for a chunk, that of its first relation."""
+        return self.lowest_index(self.countermodel_mask(premises, goal, u), 0)
 
     def first_invalid_index(self, f: Union[Formula, Program], u: Ultrafilter) -> int | None:
         return self.countermodel_index((), f, u)

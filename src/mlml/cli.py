@@ -9,16 +9,13 @@ propositional semantics, `search` runs the bounded countermodel search,
 Exit status: 0 when the query holds (valid, consequence, accepted, no
 mismatch, no countermodel), 1 on the semantic negative, 2 on usage, parse or
 schema errors, 3 when a resource cap was exceeded.  Output is a pure
-function of arguments and input files; nothing is randomized.  The
-MLML_WORKERS environment variable sets the default worker count for
-`correspond`.
+function of arguments and input files; nothing is randomized.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import algebra, frames, kripke, proofs, prop4, syntax
@@ -162,7 +159,7 @@ def _cmd_search(args) -> int:
     if args.require_property is not None:
         if args.require_property not in frames.PROPERTIES:
             raise CliError(f"unknown property {args.require_property!r}")
-        frame_filter = frames.PROPERTIES[args.require_property].holds
+        frame_filter = frames.PROPERTIES[args.require_property]
     counter = kripke.countermodel_search(
         premises,
         goal,
@@ -336,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("MLML_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=1)
     _add_ultrafilter_flags(p)
     _add_cap_flags(p)
     p.set_defaults(func=_cmd_correspond)

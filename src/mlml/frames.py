@@ -1,5 +1,6 @@
-"""Frame properties, exhaustive frame enumeration, and the correspondence
-harness that tests "valid on F iff F has property P" over all small frames.
+"""Frame properties, exhaustive frame enumeration, the correspondence
+harness that tests "valid on F iff F has property P" over all small frames,
+and the chunked scan behind kripke.countermodel_search.
 
 Frames on n labeled worlds are enumerated canonically: relations as n*n-bit
 masks (bit i*n+j set meaning world i reaches world j) in increasing numeric
@@ -11,7 +12,7 @@ simultaneous world permutations.
 Each property is a list of clauses over the relation's edge bits, in world
 order; the first failing clause is the property's violation on a frame, and
 the same clauses give its truth on a whole chunk of relation bitmasks at
-once, which is how the correspondence harness checks it.
+once, which is how the correspondence harness and the search check it.
 
 Besides the five textbook relational properties, the lattice labels support
 properties of their own: a world is "out of the bubble" when having any
@@ -314,19 +315,16 @@ def _canonical_key(n: int, bits: int, labels: tuple[str, ...]) -> tuple[int, tup
     return best
 
 
-def enumerate_frames(
-    n: int, reduce_isomorphism: bool = False, relations: range | None = None
-) -> Iterator[Frame]:
+def enumerate_frames(n: int, reduce_isomorphism: bool = False) -> Iterator[Frame]:
     """All frames on n labeled worlds in canonical order.
 
     With reduce_isomorphism=True only the least representative of each orbit
-    under world permutations is produced.  `relations` restricts the
-    enumeration to a range of relation bitmasks (default: all of them).
+    under world permutations is produced.
     """
     if n < 1:
         raise ValueError("world count must be >= 1")
     worlds = _world_names(n)
-    for bits in range(1 << (n * n)) if relations is None else relations:
+    for bits in range(1 << (n * n)):
         relation = _relation_from_bits(worlds, bits)
         for labels in product("ABC", repeat=n):
             if reduce_isomorphism and _canonical_key(n, bits, labels) != (bits, labels):
@@ -481,6 +479,77 @@ def correspondence_check(
     keyed.sort(key=lambda pair: pair[0])
     report.mismatches = [mismatch for _, mismatch in keyed]
     return report
+
+
+# ---------------------------------------------------------------------------
+# Countermodel search
+# ---------------------------------------------------------------------------
+
+
+def _search_chunks(n: int, variables: int) -> Iterator[range]:
+    """Aligned ranges over every relation on n worlds, 1, 1, 2, 4, ... wide up
+    to relation_chunk_width, so that an early hit stays cheap."""
+    width, lo = relation_chunk_width(n, variables), 0
+    while lo < 1 << (n * n):
+        step = min(width, max(1, lo))
+        yield range(lo, lo + step)
+        lo += step
+
+
+def _countermodel_scan(
+    premises: tuple[Formula, ...],
+    goal: Formula,
+    max_worlds: int,
+    selected: tuple[Ultrafilter, ...],
+    frame_filter: FrameProperty | Callable[[Frame], bool] | None,
+    max_valuations: int | None,
+    max_frames: int | None,
+) -> Model | None:
+    """kripke.countermodel_search over relation chunks: per chunk, one sweep
+    per labelling with a frame passing the filter, reduced to one mask of
+    relations per ultrafilter.  The lowest relation wins, then the labelling,
+    the ultrafilter and `lowest_index`, as frame by frame; max_frames counts
+    the frames passing the filter up to the hit's by popcount."""
+    if frame_filter is not None and not isinstance(frame_filter, FrameProperty):
+        predicate = frame_filter
+        frame_filter = FrameProperty("filter", lambda frame: None if predicate(frame) else ())
+    var_names = tuple(sorted(set().union(*(syntax.variables(g) for g in premises + (goal,)))))
+    premise_programs = [compile_formula(p) for p in premises]
+    goal_program = compile_formula(goal)
+    seen = 0
+    for n in range(1, max_worlds + 1):
+        worlds = _world_names(n)
+        labellings = list(product("ABC", repeat=n))
+        for chunk in _search_chunks(n, len(var_names)):
+            below = (1 << len(chunk)) - 1  # the relations a hit must be below
+            passing = [below if frame_filter is None
+                       else frame_filter.relation_mask(worlds, labels, chunk)
+                       for labels in labellings]
+            hit = None
+            # With the budget spent, any frame passing the filter here is over it.
+            for i, allowed in enumerate(passing if max_frames is None or seen < max_frames else ()):
+                if not allowed & below:
+                    continue
+                sweep = FrameSweep(RelationChunk(worlds, labellings[i], chunk), var_names,
+                                   max_valuations=max_valuations)
+                for u in selected:
+                    if not allowed & below:
+                        break
+                    bad = sweep.countermodel_mask(premise_programs, goal_program, u)
+                    hits = bad and sweep.relations_meeting(bad) & allowed & below
+                    if hits:
+                        r = (hits & -hits).bit_length() - 1
+                        hit, below = (r, i, u, bad, sweep), (1 << r) - 1
+            seen += sum((mask & below).bit_count() for mask in passing)
+            if hit is not None:
+                r, i, u, bad, sweep = hit
+                seen += sum(mask >> r & 1 for mask in passing[:i + 1])
+            if max_frames is not None and seen > max_frames:
+                raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")
+            if hit is not None:
+                frame = _frame_from_bits(worlds, labellings[i], chunk.start + r)
+                return Model(frame, sweep.decode_valuation(sweep.lowest_index(bad, r)), u)
+    return None
 
 
 # ---------------------------------------------------------------------------

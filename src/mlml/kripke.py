@@ -26,7 +26,7 @@ the modal-classical fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import algebra, syntax
 from .algebra import (
@@ -41,13 +41,11 @@ from .algebra import (
     element_name,
     is_designated,
 )
-from ._sweep import (
-    DEFAULT_MAX_VALUATIONS,
-    FrameSweep,
-    ResourceBudgetExceeded,
-    compile_formula,
-)
+from ._sweep import DEFAULT_MAX_VALUATIONS, FrameSweep, ResourceBudgetExceeded
 from .syntax import Formula
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .frames import FrameProperty
 
 __all__ = [
     "Frame",
@@ -116,9 +114,6 @@ class Frame:
             raise UnknownWorldError(world)
         return tuple(v for v in self.worlds if (world, v) in self.relation)
 
-    def world_count(self) -> int:
-        return len(self.worlds)
-
 
 @dataclass
 class Model:
@@ -160,51 +155,59 @@ class Model:
 
 
 def eval_formula(model: Model, world: str, f: Formula) -> int:
-    """Value of f at a world, an element of the world's carrier."""
-    label = model.frame.lattice_of.get(world)
-    if label is None:
-        raise UnknownWorldError(world)
-    if isinstance(f, syntax.Var):
-        return model.value(world, f.name)
-    if isinstance(f, syntax.Top):
-        return TOP
-    if isinstance(f, syntax.Bot):
-        return BOT
-    if isinstance(f, syntax.Not):
-        return down_interp(algebra.complement(eval_formula(model, world, f.sub)), label)
-    if isinstance(f, syntax.And):
-        value = algebra.meet(
-            eval_formula(model, world, f.left), eval_formula(model, world, f.right)
-        )
-        return down_interp(value, label)
-    if isinstance(f, syntax.Or):
-        value = algebra.join(
-            eval_formula(model, world, f.left), eval_formula(model, world, f.right)
-        )
-        return down_interp(value, label)
-    if isinstance(f, syntax.Ball):
-        return down_interp(algebra.ball(eval_formula(model, world, f.sub)), label)
-    if isinstance(f, syntax.Box):
-        value = TOP
-        for u in model.frame.successors(world):
-            value = algebra.meet(value, down_interp(eval_formula(model, u, f.sub), label))
-        return value
-    if isinstance(f, syntax.Diamond):
-        boxed = eval_formula(model, world, syntax.Box(syntax.Not(f.sub)))
-        return down_interp(algebra.complement(boxed), label)
-    if isinstance(f, syntax.BoxSame):
-        value = TOP
-        for u in model.frame.successors(world):
-            if model.frame.lattice_of[u] == label:
-                value = algebra.meet(value, eval_formula(model, u, f.sub))
-        return value
-    if isinstance(f, syntax.BoxDiff):
-        value = TOP
-        for u in model.frame.successors(world):
-            if model.frame.lattice_of[u] != label:
-                value = algebra.meet(value, down_interp(eval_formula(model, u, f.sub), label))
-        return value
-    raise TypeError(f"not a formula: {f!r}")
+    """Value of f at a world, an element of the world's carrier.
+
+    Each (subformula, world) pair is evaluated once per call, keyed by the
+    subformula's identity, so a formula whose subformulas are shared, as
+    those of `<->` are, costs time in its distinct nodes, not its tree.
+    """
+    memo: dict[tuple[int, str], tuple[Formula, int]] = {}  # the node keeps its id alive
+
+    def value(world: str, f: Formula) -> int:
+        key = (id(f), world)
+        known = memo.get(key)
+        if known is not None:
+            return known[1]
+        label = model.frame.lattice_of.get(world)
+        if label is None:
+            raise UnknownWorldError(world)
+        if isinstance(f, syntax.Var):
+            result = model.value(world, f.name)
+        elif isinstance(f, syntax.Top):
+            result = TOP
+        elif isinstance(f, syntax.Bot):
+            result = BOT
+        elif isinstance(f, syntax.Not):
+            result = down_interp(algebra.complement(value(world, f.sub)), label)
+        elif isinstance(f, syntax.And):
+            result = down_interp(algebra.meet(value(world, f.left), value(world, f.right)), label)
+        elif isinstance(f, syntax.Or):
+            result = down_interp(algebra.join(value(world, f.left), value(world, f.right)), label)
+        elif isinstance(f, syntax.Ball):
+            result = down_interp(algebra.ball(value(world, f.sub)), label)
+        elif isinstance(f, syntax.Box):
+            result = TOP
+            for u in model.frame.successors(world):
+                result = algebra.meet(result, down_interp(value(u, f.sub), label))
+        elif isinstance(f, syntax.Diamond):
+            boxed = value(world, syntax.Box(syntax.Not(f.sub)))
+            result = down_interp(algebra.complement(boxed), label)
+        elif isinstance(f, syntax.BoxSame):
+            result = TOP
+            for u in model.frame.successors(world):
+                if model.frame.lattice_of[u] == label:
+                    result = algebra.meet(result, value(u, f.sub))
+        elif isinstance(f, syntax.BoxDiff):
+            result = TOP
+            for u in model.frame.successors(world):
+                if model.frame.lattice_of[u] != label:
+                    result = algebra.meet(result, down_interp(value(u, f.sub), label))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[key] = (f, result)
+        return result
+
+    return value(world, f)
 
 
 def satisfies(model: Model, world: str, f: Formula) -> bool:
@@ -276,7 +279,7 @@ def countermodel_search(
     goal: Formula,
     max_worlds: int,
     ultrafilters: str | Ultrafilter | Iterable[Ultrafilter] = "all",
-    frame_filter: Callable[[Frame], bool] | None = None,
+    frame_filter: "FrameProperty | Callable[[Frame], bool] | None" = None,
     max_valuations: int | None = DEFAULT_MAX_VALUATIONS,
     max_frames: int | None = None,
 ) -> Model | None:
@@ -288,44 +291,22 @@ def countermodel_search(
     generator, then valuations lexicographically.  A None result means no
     countermodel up to the bound, which is weaker than validity.
 
-    frame_filter restricts the search to frames satisfying a predicate, e.g.
-    a frame property whose interaction with the consequence is under study.
+    frame_filter restricts the search to frames with a property, e.g. one
+    under study: a FrameProperty, checked on relation bitmasks, or any
+    predicate on frames.  max_frames caps the frames passing it.
     """
-    from .frames import enumerate_frames
+    from .frames import _countermodel_scan  # frames imports this module
 
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     premises = tuple(premises)
-    selected = _resolve_ultrafilters(ultrafilters)
-    names: set[str] = set()
-    for g in premises + (goal,):
-        names.update(syntax.variables(g))
-    var_names = tuple(sorted(names))
-    premise_programs = [compile_formula(p) for p in premises]
-    goal_program = compile_formula(goal)
-    seen = 0
-    for n in range(1, max_worlds + 1):
-        for frame in enumerate_frames(n):
-            if frame_filter is not None and not frame_filter(frame):
-                continue
-            seen += 1
-            if max_frames is not None and seen > max_frames:
-                raise ResourceBudgetExceeded(
-                    f"frame budget of {max_frames} exhausted"
-                )
-            sweep = FrameSweep(frame, var_names, max_valuations=max_valuations)
-            for u in selected:
-                index = sweep.countermodel_index(premise_programs, goal_program, u)
-                if index is None:
-                    continue
-                model = Model(frame, sweep.decode_valuation(index), u)
-                ok = all(model_valid(model, p) for p in premises) and not model_valid(
-                    model, goal
-                )
-                if not ok:
-                    raise AssertionError("sweep and definitional evaluator disagree")
-                return model
-    return None
+    model = _countermodel_scan(premises, goal, max_worlds, _resolve_ultrafilters(ultrafilters),
+                               frame_filter, max_valuations, max_frames)
+    if model is not None and (
+        not all(model_valid(model, p) for p in premises) or model_valid(model, goal)
+    ):
+        raise AssertionError("sweep and definitional evaluator disagree")
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,8 @@ def derivation_from_dict(doc: Mapping) -> Derivation:
         split = None
         if "params" in raw and raw["params"] is not None:
             params = raw["params"]
+            if not isinstance(params, Mapping):
+                raise ValueError(f"step {number}: params must be an object")
             split = InSplit(
                 frozenset(syntax.parse(t) for t in params.get("lambda", ())),
                 frozenset(syntax.parse(t) for t in params.get("gamma", ())),

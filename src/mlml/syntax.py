@@ -114,11 +114,16 @@ def Xor(left: Formula, right: Formula) -> Formula:
 
 
 def variables(f: Formula) -> tuple[str, ...]:
-    """Sorted tuple of variable names occurring in the formula."""
+    """Sorted tuple of variable names occurring in the formula; a node shared
+    by several parents is visited once."""
     seen: set[str] = set()
+    visited: set[int] = set()  # ids of nodes of f, all kept alive by f
     stack = [f]
     while stack:
         g = stack.pop()
+        if id(g) in visited:
+            continue
+        visited.add(id(g))
         if isinstance(g, Var):
             seen.add(g.name)
         elif isinstance(g, _UNARY_TYPES):

@@ -1,6 +1,11 @@
 """End-to-end checks of the command-line surface and its exit statuses."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -278,3 +283,39 @@ def test_proof_cites_must_be_a_list_of_integers(capsys, tmp_path):
     code, out, err = run(capsys, "checkproof", "--proof", path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "cites must be a list of integers" in err
+
+
+def test_proof_params_must_be_an_object(capsys, tmp_path):
+    path = _document(tmp_path, {"steps": [{"premises": ["p"], "conclusion": "p",
+                                           "rule": "Premise", "params": "x"}]})
+    code, out, err = run(capsys, "checkproof", "--proof", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "step 0: params must be an object" in err
+
+
+def _cli(*argv, env=None, timeout=60):
+    """Run the command line in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, **(env or {})}
+    return subprocess.run([sys.executable, "-m", "mlml.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def test_worker_environment_variable_is_ignored():
+    done = _cli("taut4", "--formula", "p | ~p", env={"MLML_WORKERS": "x"})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "valid\n", "")
+
+
+def test_shared_subformulas_are_evaluated_once(tmp_path):
+    """`<->` shares both operands, so a chain of 30 would cost 2**30 tree
+    walks; evaluating and checking it visits each distinct node once."""
+    chain = " <-> ".join(["p"] * 31)
+    model = _document(tmp_path, {"worlds": ["w"], "lattices": {"w": "A"}, "edges": [],
+                                 "valuation": {"w": {"p": "1"}}})
+    started = time.monotonic()
+    done = _cli("eval", "--model", model, "--world", "w", "--formula", chain)
+    assert (done.returncode, done.stdout) == (0, "1, designated\n")
+    done = _cli("valid", "--frame", "fixture:euc3", "--formula", chain)
+    assert done.returncode == 1  # the countermodel is re-checked with eval_formula
+    assert done.stdout.startswith("invalid under ultrafilter e1; countermodel:\n")
+    assert time.monotonic() - started < 10
