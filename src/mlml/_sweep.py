@@ -524,12 +524,24 @@ class FrameSweep:
         """The valuation at the given index, as a (world, variable) map."""
         if not 0 <= index < self.valuation_count:
             raise IndexError(index)
-        assignment: dict[tuple[str, str], int] = {}
-        slot = 0
-        for wi, world in enumerate(self.worlds):
-            for name in self.var_names:
-                run = self._base ** (self._slot_count - 1 - slot)
-                digit = (index // run) % self._base
-                assignment[(world, name)] = self._domains[wi][digit]
-                slot += 1
-        return assignment
+        return valuation_at(self.worlds, self._labels, self.var_names, index, self._base == 2)
+
+
+def valuation_at(
+    worlds: Sequence[str],
+    labels: Sequence[str],
+    var_names: Sequence[str],
+    index: int,
+    binary: bool = False,
+) -> dict[tuple[str, str], int]:
+    """Valuation `index` of a sweep over the labelled worlds and the
+    variables, as a (world, variable) map, in slot order."""
+    base = 2 if binary else 4
+    run = base ** (len(worlds) * len(var_names))
+    assignment: dict[tuple[str, str], int] = {}
+    for world, label in zip(worlds, labels):
+        domain = (BOT, TOP) if binary else carrier(label)
+        for name in var_names:
+            run //= base
+            assignment[(world, name)] = domain[index // run % base]
+    return assignment

@@ -84,12 +84,6 @@ def _ultrafilters(args) -> tuple[algebra.Ultrafilter, ...]:
     return (algebra.Ultrafilter.from_name(args.ultrafilter),)
 
 
-def _csv_cell(text: str) -> str:
-    if any(c in text for c in ",\"\n"):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -177,12 +171,6 @@ def _cmd_search(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _report_witness(witness) -> str:
-    if isinstance(witness, tuple):
-        return "violation at " + ",".join(witness)
-    return json.dumps(kripke.model_to_dict(witness))
-
-
 def _cmd_correspond(args) -> int:
     if args.property not in frames.PROPERTIES:
         raise CliError(f"unknown property {args.property!r}; have {', '.join(sorted(frames.PROPERTIES))}")
@@ -199,15 +187,8 @@ def _cmd_correspond(args) -> int:
     )
     if args.csv:
         print("frame_encoding,property_holds,formula_valid,witness")
-        for m in report.mismatches:
-            holds = m.direction == "property_without_valid"
-            row = [
-                frames.frame_encoding(m.frame) + ";U=" + m.ultrafilter.name,
-                str(holds).lower(),
-                str(not holds).lower(),
-                _csv_cell(_report_witness(m.witness)),
-            ]
-            print(",".join(row))
+        for line in report.csv_rows():
+            print(line)
     counts = "+".join(str(frames.count_frames(n)) for n in range(1, args.max_worlds + 1))
     print(
         f"{counts} frames x {len(selected)} ultrafilters, "
@@ -229,13 +210,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_indiscern(args) -> int:
+    if args.corpus_depth < 0:
+        raise CliError("--corpus-depth must be >= 0")
     report = frames.indiscernibility_check(
         args.corpus_depth, max_valuations=args.max_valuations
     )
     if args.csv:
         print("formula,ultrafilter,valid_soob_F,valid_soob_Fprime")
         for formula, uf, va, vb in report.disagreements:
-            print(f"{_csv_cell(formula)},{uf},{str(va).lower()},{str(vb).lower()}")
+            print(f"{frames._csv_cell(formula)},{uf},{str(va).lower()},{str(vb).lower()}")
     if report.agree:
         print(
             f"soob_F and soob_Fprime agree on all {report.formulas_checked} corpus formulas"
@@ -362,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_caps(args) -> None:
-    for name in ("max_valuations", "max_frames", "workers", "max_worlds",
+    for name in ("max_valuations", "max_frames", "workers", "max_worlds", "worlds",
                  "crosscheck_worlds", "time_budget"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:

@@ -24,13 +24,14 @@ split in a fixed pattern.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import syntax
+from . import kripke, syntax
 from .algebra import Ultrafilter
 from ._sweep import (
     DEFAULT_MAX_VALUATIONS,
@@ -40,8 +41,9 @@ from ._sweep import (
     compile_formula,
     relation_bit_pattern,
     relation_chunk_width,
+    valuation_at,
 )
-from .kripke import Frame, Model, _resolve_ultrafilters
+from .kripke import Frame, Model, _resolve_ultrafilters, _valuation_doc
 from .syntax import Formula
 
 __all__ = [
@@ -174,12 +176,17 @@ class ClauseViolation:
 
     def __call__(self, frame: Frame) -> tuple | None:
         worlds = frame.worlds
-        bits = _relation_bits(frame)
         labels = tuple(frame.lattice_of[w] for w in worlds)
-        for witness, required, forbidden in _clause_table(self.clauses, len(worlds), labels):
-            if bits & required == required and not bits & forbidden:
-                return tuple(worlds[i] for i in witness)
-        return None
+        return _first_violation(self.clauses, worlds, labels, _relation_bits(frame))
+
+
+def _first_violation(
+    clauses: Callable, worlds: tuple[str, ...], labels: tuple[str, ...], bits: int
+) -> tuple | None:
+    for witness, required, forbidden in _clause_table(clauses, len(worlds), labels):
+        if bits & required == required and not bits & forbidden:
+            return tuple(worlds[i] for i in witness)
+    return None
 
 
 @dataclass(frozen=True)
@@ -197,6 +204,16 @@ class FrameProperty:
 
     def holds(self, frame: Frame) -> bool:
         return self.violation(frame) is None
+
+    def _violation_at(
+        self, worlds: tuple[str, ...], labels: tuple[str, ...], bits: int
+    ) -> tuple | None:
+        """The violation on the labelled worlds with the relation bitmask,
+        read off the clauses when the finder has them."""
+        clauses = getattr(self.violation, "clauses", None)
+        if clauses is None:
+            return self.violation(_frame_from_bits(worlds, labels, bits))
+        return _first_violation(clauses, worlds, labels, bits)
 
     def relation_mask(
         self, worlds: tuple[str, ...], labels: tuple[str, ...], relations: range
@@ -262,6 +279,7 @@ is_ttd = PROPERTIES["transitive_through_difference"].holds
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def _world_names(n: int) -> tuple[str, ...]:
     return tuple(f"w{i + 1}" for i in range(n))
 
@@ -350,6 +368,52 @@ class Mismatch:
     witness: object  # property violation tuple, or a countermodel Model
 
 
+# A mismatch as the harness keeps it: (world count, relation bits, labels,
+# ultrafilter, witness).  The witness is the countermodel's valuation index
+# when the frame has the property, else the property's violation.
+Row = tuple[int, int, str, Ultrafilter, "int | tuple"]
+
+
+def _direction(witness: int | tuple) -> str:
+    return "property_without_valid" if isinstance(witness, int) else "valid_without_property"
+
+
+class _Labelled(NamedTuple):
+    """What kripke.frame_to_dict reads of a frame."""
+
+    worlds: tuple[str, ...]
+    relation: frozenset[tuple[str, str]]
+    lattice_of: dict[str, str]
+
+
+def _csv_cell(text: str) -> str:
+    if any(c in text for c in ",\"\n"):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+class _Mismatches(Sequence):
+    """The mismatches of a report's rows, each built when read."""
+
+    def __init__(self, rows: list[Row], variables: tuple[str, ...]):
+        self._rows = rows
+        self._variables = variables
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self._rows)))]
+        n, bits, labels, u, witness = self._rows[i]
+        worlds = _world_names(n)
+        frame = _frame_from_bits(worlds, labels, bits)
+        direction = _direction(witness)
+        if isinstance(witness, int):
+            witness = Model(frame, valuation_at(worlds, labels, self._variables, witness), u)
+        return Mismatch(frame, u, direction, witness)
+
+
 @dataclass
 class CorrespondenceReport:
     property_name: str
@@ -357,30 +421,62 @@ class CorrespondenceReport:
     max_worlds: int
     ultrafilters: tuple[str, ...]
     frames_checked: int
-    mismatches: list[Mismatch] = field(default_factory=list)
+    variables: tuple[str, ...] = ()
+    rows: list[Row] = field(default_factory=list)  # in report order
+
+    @property
+    def mismatches(self) -> Sequence[Mismatch]:
+        return _Mismatches(self.rows, self.variables)
 
     @property
     def clean(self) -> bool:
-        return not self.mismatches
+        return not self.rows
 
     def directions(self) -> set[str]:
-        return {m.direction for m in self.mismatches}
+        return {_direction(row[4]) for row in self.rows}
+
+    def csv_rows(self) -> Iterator[str]:
+        """The lines of `correspond --csv` after its header, one per
+        mismatch, formatted from the rows.  A countermodel is the CSV cell of
+        json.dumps(kripke.model_to_dict(model)), put together from the JSON
+        of its frame's fields and of its valuation's, each quoted for CSV
+        once.  A frame's rows are adjacent, so only the last frame's JSON
+        is kept; valuations recur across frames and are cached for this
+        call."""
+        frame_key = frame_part = None
+        valuation_parts: dict[tuple[str, int, str], str] = {}
+        for n, bits, labels, u, witness in self.rows:
+            name = u.name
+            head = f"{n}:{bits}:{labels};U={name}"
+            if not isinstance(witness, int):
+                yield f"{head},false,true,{_csv_cell('violation at ' + ','.join(witness))}"
+                continue
+            worlds = _world_names(n)
+            if frame_key != (n, bits, labels):
+                frame_key = (n, bits, labels)
+                frame = _Labelled(worlds, _relation_from_bits(worlds, bits),
+                                  dict(zip(worlds, labels)))
+                frame_part = json.dumps(kripke.frame_to_dict(frame))[:-1].replace('"', '""')
+            valuation_part = valuation_parts.get((labels, witness, name))
+            if valuation_part is None:
+                valuation = valuation_at(worlds, labels, self.variables, witness)
+                valuation_part = json.dumps(_valuation_doc(valuation, u))[1:].replace('"', '""')
+                valuation_parts[labels, witness, name] = valuation_part
+            yield f'{head},true,false,"{frame_part}, {valuation_part}"'
 
 
-def _correspondence_chunk(job: tuple) -> tuple[int, list[tuple[tuple, Mismatch]]]:
+def _correspondence_chunk(job: tuple) -> tuple[int, list[Row]]:
     """Check every frame on n worlds whose relation lies in the job's range:
     one packed sweep per labelling and chunk of relations, with validity and
-    the property reduced to one bit per relation.  A Frame is built only for
-    a relation on which the two disagree.  Each mismatch comes with its sort
-    key (world count, frame encoding, ultrafilter name)."""
-    prop, formula, n, relations, selected, max_valuations, deadline = job
-    var_names = syntax.variables(formula)
-    program = compile_formula(formula)
+    the property reduced to one bit per relation.  A mismatch is a row; no
+    Frame is built unless the property has no clauses."""
+    prop, program, var_names, n, relations, selected, max_valuations, deadline = job
     worlds = _world_names(n)
     width = min(len(relations), relation_chunk_width(n, len(var_names)))
     checked = 0
-    found: list[tuple[tuple, Mismatch]] = []
+    rows: list[Row] = []
     for labels in product("ABC", repeat=n):
+        text = "".join(labels)
         for lo in range(relations.start, relations.stop, width):
             if deadline is not None and time.monotonic() > deadline:
                 raise ResourceBudgetExceeded("time budget exhausted")
@@ -389,24 +485,39 @@ def _correspondence_chunk(job: tuple) -> tuple[int, list[tuple[tuple, Mismatch]]
             holds = prop.relation_mask(worlds, labels, chunk)
             sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
                                max_valuations=max_valuations)
-            frames: dict[int, tuple[Frame, str]] = {}
             for u in selected:
                 invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
                 valid = ((1 << width) - 1) ^ sweep.relations_meeting(invalid)
                 for r in _bits(valid ^ holds):
-                    if r not in frames:
-                        frames[r] = (_frame_from_bits(worlds, labels, lo + r),
-                                     f"{n}:{lo + r}:{''.join(labels)}")
-                    frame, encoding = frames[r]
                     if holds >> r & 1:
-                        valuation = sweep.decode_valuation(sweep.lowest_index(invalid, r))
-                        mismatch = Mismatch(frame, u, "property_without_valid",
-                                            Model(frame, valuation, u))
+                        witness = sweep.lowest_index(invalid, r)
                     else:
-                        mismatch = Mismatch(frame, u, "valid_without_property",
-                                            prop.violation(frame))
-                    found.append(((n, encoding, u.name), mismatch))
-    return checked, found
+                        witness = prop._violation_at(worlds, labels, lo + r)
+                    rows.append((n, lo + r, text, u, witness))
+    return checked, rows
+
+
+def _recheck(report: CorrespondenceReport, prop: FrameProperty, formula: Formula) -> None:
+    """Replay the first mismatch of each direction and ultrafilter on the
+    definitional side: the countermodel on kripke.first_failing_world, the
+    violation on the property's own finder."""
+    seen: set[tuple[str, str]] = set()
+    mismatches = report.mismatches
+    for i, (_, _, _, u, witness) in enumerate(report.rows):
+        key = (_direction(witness), u.name)
+        if key in seen:
+            continue
+        seen.add(key)
+        m = mismatches[i]
+        if isinstance(witness, int):
+            agree = (prop.holds(m.frame)
+                     and kripke.first_failing_world(m.witness, formula) is not None)
+        else:
+            agree = prop.violation(m.frame) == witness
+        if not agree:
+            raise AssertionError("sweep and definitional evaluator disagree")
+        if len(seen) == 2 * len(report.ultrafilters):
+            return
 
 
 def correspondence_check(
@@ -426,7 +537,9 @@ def correspondence_check(
     "the formula is frame-valid" and "the frame has the property" holds; the
     witness is a countermodel in the property-without-validity direction and
     a property violation in the other.  Mismatches are reported sorted by
-    world count, then the frame encoding as a string, then ultrafilter.
+    world count, then the frame encoding as a string, then ultrafilter.  The
+    report keeps them as rows and builds each Mismatch when read; the first
+    of each direction and ultrafilter is re-checked here.
 
     The frames are split into jobs of relation bitmasks, checked in this
     process when workers == 1 and across a process pool otherwise; both
@@ -455,15 +568,17 @@ def correspondence_check(
         max_worlds=max_worlds,
         ultrafilters=tuple(u.name for u in selected),
         frames_checked=0,
+        variables=syntax.variables(formula),
     )
+    program = compile_formula(formula)
 
     jobs = []
     for n in range(1, max_worlds + 1):
         total_bits = 1 << (n * n)
         step = 1 << (max(1, total_bits // (workers * 4)).bit_length() - 1)
         for lo in range(0, total_bits, step):
-            jobs.append((prop, formula, n, range(lo, min(lo + step, total_bits)),
-                         selected, max_valuations, deadline))
+            jobs.append((prop, program, report.variables, n,
+                         range(lo, min(lo + step, total_bits)), selected, max_valuations, deadline))
 
     if workers > 1 and prop in PROPERTIES.values():
         from concurrent.futures import ProcessPoolExecutor
@@ -472,12 +587,12 @@ def correspondence_check(
             results = list(pool.map(_correspondence_chunk, jobs))
     else:
         results = map(_correspondence_chunk, jobs)
-    keyed: list[tuple[tuple, Mismatch]] = []
-    for checked, found in results:
+    for checked, rows in results:
         report.frames_checked += checked
-        keyed.extend(found)
-    keyed.sort(key=lambda pair: pair[0])
-    report.mismatches = [mismatch for _, mismatch in keyed]
+        report.rows.extend(rows)
+    # The frame encoding sorts as a string: "2:10:AB" before "2:1:AB".
+    report.rows.sort(key=lambda row: (row[0], f"{row[0]}:{row[1]}:{row[2]}", row[3].name))
+    _recheck(report, prop, formula)
     return report
 
 
@@ -510,6 +625,8 @@ def _countermodel_scan(
     relations per ultrafilter.  The lowest relation wins, then the labelling,
     the ultrafilter and `lowest_index`, as frame by frame; max_frames counts
     the frames passing the filter up to the hit's by popcount."""
+    if getattr(frame_filter, "__func__", None) is FrameProperty.holds:
+        frame_filter = frame_filter.__self__  # a bound `holds`, as the is_* aliases are
     if frame_filter is not None and not isinstance(frame_filter, FrameProperty):
         predicate = frame_filter
         frame_filter = FrameProperty("filter", lambda frame: None if predicate(frame) else ())

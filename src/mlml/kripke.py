@@ -389,13 +389,17 @@ def frame_from_dict(doc: Mapping) -> Frame:
 
 
 def model_to_dict(model: Model) -> dict:
-    by_world: dict[str, dict[str, str]] = {}
-    for (world, var), value in sorted(model.valuation.items()):
-        by_world.setdefault(world, {})[var] = element_name(value)
     doc = frame_to_dict(model.frame)
-    doc["ultrafilter"] = model.ultrafilter.name
-    doc["valuation"] = by_world
+    doc.update(_valuation_doc(model.valuation, model.ultrafilter))
     return doc
+
+
+def _valuation_doc(valuation: Mapping[tuple[str, str], int], ultrafilter: Ultrafilter) -> dict:
+    """The fields a model document adds to its frame's."""
+    by_world: dict[str, dict[str, str]] = {}
+    for (world, var), value in sorted(valuation.items()):
+        by_world.setdefault(world, {})[var] = element_name(value)
+    return {"ultrafilter": ultrafilter.name, "valuation": by_world}
 
 
 def model_from_dict(doc: Mapping) -> Model:

@@ -201,6 +201,13 @@ def test_indiscern(capsys):
     assert out.strip() == "soob_F and soob_Fprime agree on all 5 corpus formulas"
 
 
+def test_out_of_range_sizes_are_usage_errors(capsys):
+    code, _, err = run(capsys, "enumerate", "--worlds", "0", "--count")
+    assert code == 2 and "--worlds must be positive" in err
+    code, _, err = run(capsys, "indiscern", "--corpus-depth", "-1")
+    assert code == 2 and "--corpus-depth must be >= 0" in err
+
+
 def test_checkproof_accept_and_reject(capsys, tmp_path):
     corpus = dict(load_bundled_corpus())
     doc = derivation_to_dict(corpus["necessitation"])

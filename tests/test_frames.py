@@ -410,3 +410,108 @@ def test_correspondence_witnesses_replay_on_the_definitional_evaluator():
             assert first_failing_world(m.witness, formula) is not None
             replayed += 1
     assert replayed == 2214 + 1626
+
+
+# ---------------------------------------------------------------------------
+# Report rows: the CSV formatter and the lazily built mismatches
+# ---------------------------------------------------------------------------
+
+CRITERIA = (
+    ("reflexive", "[]p -> p"),
+    ("transitive", "[]p -> [][]p"),
+    ("euclidean", "<>p -> []<>p"),
+    ("euclidean", "<>@p -> []<>@p"),
+    ("serial", "[]p -> <>p"),
+    ("symmetric", "p -> []<>p"),
+    ("out_of_bubble", "<>T -> ([]~@p -> ~[]p)"),
+    ("transitive_through_equality", "[]p -> [=][=]p"),
+    ("transitive_through_difference", "[]p -> [-][=](@p & p)"),
+)
+
+
+def _csv_reference(report):
+    """The CSV lines of the report's mismatches, each built as a Mismatch and
+    written out from it: the witness through model_to_dict and json.dumps,
+    or as its violation, and each line by the standard csv module."""
+    import csv
+    import io
+    import json
+
+    from mlml.kripke import model_to_dict
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    keys = []
+    for m in report.mismatches:
+        holds = m.direction == "property_without_valid"
+        if holds:
+            assert m.witness.frame is m.frame and m.witness.ultrafilter is m.ultrafilter
+            witness = json.dumps(model_to_dict(m.witness))
+        else:
+            witness = "violation at " + ",".join(m.witness)
+        keys.append((len(m.frame.worlds), frame_encoding(m.frame), m.ultrafilter.name))
+        writer.writerow([f"{keys[-1][1]};U={keys[-1][2]}", str(holds).lower(),
+                         str(not holds).lower(), witness])
+    assert keys == sorted(keys)  # the encoding sorts as a string
+    return buffer.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("prop, text", CRITERIA)
+def test_csv_rows_match_the_mismatches(prop, text):
+    report = correspondence_check(prop, text, 2)
+    assert list(report.csv_rows()) == _csv_reference(report)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_csv_rows_match_the_mismatches_in_chunks(workers):
+    """Two variables at three worlds: 16-relation chunks, both directions,
+    one or two workers.  Read with the variables in the other order too, so
+    that slot order and sorted order differ."""
+    from dataclasses import replace
+
+    report = correspondence_check("super_out_of_bubble", "[](p | q) -> p | q", 3,
+                                  workers=workers)
+    assert report.directions() == {"property_without_valid", "valid_without_property"}
+    assert list(report.csv_rows()) == _csv_reference(report)
+    swapped = replace(report, variables=report.variables[::-1])
+    assert list(swapped.csv_rows()) == _csv_reference(swapped)
+
+
+def test_mismatches_are_built_only_when_read(monkeypatch):
+    from mlml import frames
+
+    built = []
+    frame_class = frames.Frame
+
+    def counting_frame(*args):
+        built.append(args)
+        return frame_class(*args)
+
+    monkeypatch.setattr(frames, "Frame", counting_frame)
+    report = correspondence_check("transitive", "[]p -> [][]p", 3)
+    assert len(built) == 3  # the re-check of the first witness per ultrafilter
+    assert len(report.mismatches) == 2214
+    assert report.directions() == {"property_without_valid"} and not report.clean
+    assert len(list(report.csv_rows())) == 2214
+    assert len(built) == 3
+    last = report.mismatches[-1]
+    assert len(built) == 4
+    assert report.mismatches[-1:] == [last]
+
+
+def test_correspond_rechecks_the_countermodel(monkeypatch):
+    from mlml import kripke
+
+    monkeypatch.setattr(kripke, "first_failing_world", lambda model, formula: None)
+    with pytest.raises(AssertionError, match="sweep and definitional evaluator disagree"):
+        correspondence_check("euclidean", "<>p -> []<>p", 2)
+
+
+def test_correspond_rechecks_the_violation(monkeypatch):
+    from mlml.frames import ClauseViolation
+
+    report = correspondence_check("symmetric", "<>p -> []p", 2)
+    assert "valid_without_property" in report.directions()
+    monkeypatch.setattr(ClauseViolation, "__call__", lambda self, frame: ("w9",))
+    with pytest.raises(AssertionError, match="sweep and definitional evaluator disagree"):
+        correspondence_check("symmetric", "<>p -> []p", 2)

@@ -2,6 +2,7 @@
 the packed sweep engine with the definitional evaluator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlml import algebra
 from mlml._sweep import FrameSweep, ResourceBudgetExceeded
@@ -274,6 +275,41 @@ def test_classical_agreement_on_two_world_frames():
                     assert satisfies(model, w, f) == classical_reference_eval(
                         frame, booleans, w, f
                     )
+
+
+def _classical_formulas(depth: int):
+    from mlml.syntax import And, Bot, Not, Or, Top
+
+    leaves = st.sampled_from([Var("p"), Var("q"), Top(), Bot()])
+    if depth == 0:
+        return leaves
+    sub = _classical_formulas(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(lambda op, f: op(f), st.sampled_from([Not, Box, Diamond]), sub),
+        st.builds(lambda op, f, g: op(f, g), st.sampled_from([And, Or]), sub, sub),
+    )
+
+
+@st.composite
+def _classical_models(draw):
+    n = draw(st.integers(1, 3))
+    worlds = tuple(f"w{i + 1}" for i in range(n))
+    edges = draw(st.sets(st.sampled_from([(a, b) for a in worlds for b in worlds])))
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n))
+    frame = Frame(worlds, frozenset(edges), dict(zip(worlds, labels)))
+    valuation = {(w, v): draw(st.sampled_from([BOT, TOP])) for w in worlds for v in ("p", "q")}
+    return Model(frame, valuation, draw(st.sampled_from(ULTRAFILTERS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_classical_models(), _classical_formulas(4))
+def test_classical_oracle_matches_satisfies_on_crisp_valuations(model, f):
+    """On valuations in {0, 1} every formula of the classical fragment takes
+    crisp values, so it holds exactly where it is classically true."""
+    booleans = {key: value == TOP for key, value in model.valuation.items()}
+    for w in model.frame.worlds:
+        assert satisfies(model, w, f) == classical_reference_eval(model.frame, booleans, w, f)
 
 
 def test_frame_and_model_documents_round_trip():

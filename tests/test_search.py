@@ -116,3 +116,22 @@ def test_a_spent_frame_budget_comes_before_the_valuation_cap():
         args = ([], goal, 2, ULTRAFILTERS, None, 4, budget)
         assert _outcome(countermodel_search, *args) == ("raised", message)
         assert _outcome(per_frame_search, *args) == ("raised", message)
+
+
+def test_a_bound_holds_filter_searches_on_the_clause_masks(monkeypatch):
+    """A property's bound `holds`, as the is_* aliases are, finds the same
+    countermodel as the property, and a search without a hit builds no
+    frame to call it on."""
+    from mlml import frames
+
+    built = []
+    from_bits = frames._frame_from_bits
+    monkeypatch.setattr(frames, "_frame_from_bits",
+                        lambda *args: built.append(args) or from_bits(*args))
+    reflexive = PROPERTIES["reflexive"]
+    assert countermodel_search([], parse("[]p -> p"), 3, frame_filter=reflexive.holds) is None
+    assert built == []
+    goal = parse("[]p -> [][]p")
+    model = countermodel_search([], goal, 3, frame_filter=frames.is_reflexive)
+    assert model is not None
+    assert model == countermodel_search([], goal, 3, frame_filter=reflexive)
