@@ -30,14 +30,13 @@ The correspondence battery and the countermodel search pack the relation
 axis as well.  A sweep over a `RelationChunk` covers one labelling of n
 worlds and a power-of-two-aligned range of R relation bitmasks,
 relation-major: relation r's N valuations occupy groups [r*N, (r+1)*N) of
-every operand.  An edge w->u is then a mask rather than a successor: for
-the relations lacking it, the chunk's `relation_bit_pattern` marks their
-blocks, and box ORs that mask into the successor's down-interpreted value
-before the meet.  An edge whose bit lies
-above the range's varying low bits is on or off for the whole chunk and goes
-into the plain successor lists, so a one-relation chunk, and any single
-`Frame`, evaluate exactly as before.  `relation_chunk_width` keeps R*N at
-most 2**16 groups.
+every operand.  A single `Frame` is swept as the one-relation chunk of its
+own bitmask, `relation_bits`.  `edge_masks` gives each edge w->u as the mask
+of the relations that have it, and box joins the successor's
+down-interpreted value with the all-ones block of every relation lacking
+the edge before the meet.  For an edge that every relation has, as each
+edge of a single frame, that block is empty; an edge none has is left out.
+`relation_chunk_width` keeps R*N at most 2**16 groups.
 
 The definitional single-model evaluator lives in kripke.py; the test suite
 checks the two agree on random formulas and frames.
@@ -51,14 +50,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .algebra import BOT, E1, E2, E3, TOP, Ultrafilter, carrier
 from . import syntax
-from .syntax import Formula
+from .syntax import Formula, ResourceBudgetExceeded
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kripke import Frame
-
-
-class ResourceBudgetExceeded(RuntimeError):
-    """Raised when a sweep or search would exceed its configured budget."""
 
 
 DEFAULT_MAX_VALUATIONS = 4 ** 10
@@ -216,6 +211,27 @@ def relation_bit_pattern(bit: int, unit_bits: int, count: int) -> int:
     return value
 
 
+def edge_masks(relations: range, edges: int, unit_bits: int) -> list[int]:
+    """Per edge bit below `edges`: the units, `unit_bits` bits each, of the
+    relations in the aligned range that have that edge, unit r for
+    relations[r]."""
+    count = len(relations)
+    every = (1 << (unit_bits * count)) - 1
+    return [
+        relation_bit_pattern(bit, unit_bits, count) if 1 << bit < count
+        else every if relations.start >> bit & 1 else 0
+        for bit in range(edges)
+    ]
+
+
+def relation_bits(frame: "Frame") -> int:
+    """The frame's relation bitmask, worlds in frame order: bit i*n+j set
+    iff world i reaches world j."""
+    index = {w: i for i, w in enumerate(frame.worlds)}
+    n = len(frame.worlds)
+    return sum(1 << (index[a] * n + index[b]) for a, b in frame.relation)
+
+
 @dataclass(frozen=True)
 class RelationChunk:
     """Every frame on the labelled worlds whose relation bitmask lies in
@@ -249,9 +265,6 @@ class FrameSweep:
     carrier, which is the classical-fragment comparison mode.
     """
 
-    relations = range(1)  # the relation bitmasks swept: a chunk's, or one frame's
-    _gated = False  # whether some edge is in only some of the relations
-
     def __init__(
         self,
         frame: "Frame | RelationChunk",
@@ -262,19 +275,14 @@ class FrameSweep:
         self.frame = frame
         self.var_names = tuple(var_names)
         self.worlds = worlds = frame.worlds
-        chunk = isinstance(frame, RelationChunk)
-        if chunk:
-            self._labels = labels = list(frame.labels)
-        else:
-            self._labels = labels = [frame.lattice_of[w] for w in worlds]
-        # Per world: its successors in its own lattice and in the others.
-        self._same: list[list[int]] = [[] for _ in worlds]
-        self._diff: list[list[int]] = [[] for _ in worlds]
-        self._no_succ: list[list] = [[]] * len(worlds)
-        if binary:
-            self._domains = [(BOT, TOP)] * len(worlds)
-        else:
-            self._domains = [carrier(label) for label in labels]
+        if isinstance(frame, RelationChunk):
+            labels, self.relations = frame.labels, frame.relations
+        else:  # the one-relation chunk of the frame's own bitmask
+            labels = [frame.lattice_of[w] for w in worlds]
+            bits = relation_bits(frame)
+            self.relations = range(bits, bits + 1)
+        self._labels = labels = list(labels)
+        self._domains = [(BOT, TOP) if binary else carrier(label) for label in labels]
         self._base = 2 if binary else 4
         self._slot_count = len(worlds) * len(self.var_names)
         self.valuation_count = self._base ** self._slot_count
@@ -282,42 +290,25 @@ class FrameSweep:
             raise ResourceBudgetExceeded(
                 f"{self.valuation_count} valuations exceed the cap of {max_valuations}"
             )
-        self._block_full = self._full = (1 << (3 * self.valuation_count)) - 1
-        if chunk:
-            self._chunk_edges(frame.relations)
-        else:
-            index = {w: i for i, w in enumerate(worlds)}
-            for w, v in frame.relation:
-                wi, ui = index[w], index[v]
-                (self._same if labels[wi] == labels[ui] else self._diff)[wi].append(ui)
-        self._ones = self._full // 7
+        block_bits = 3 * self.valuation_count
+        self._block_full = (1 << block_bits) - 1
+        self._full = full = (1 << (block_bits * len(self.relations))) - 1
+        self._ones = full // 7
+        # Per world: (successor, off) in its own lattice and in the others,
+        # off the all-ones block of each relation lacking the edge.
+        n = len(worlds)
+        self._same: list[list[tuple[int, int]]] = [[] for _ in worlds]
+        self._diff: list[list[tuple[int, int]]] = [[] for _ in worlds]
+        self._no_succ: list[list] = [[]] * n
+        for bit, has in enumerate(edge_masks(self.relations, n * n, block_bits)):
+            if has:
+                wi, ui = divmod(bit, n)
+                successors = self._same if labels[wi] == labels[ui] else self._diff
+                successors[wi].append((ui, full ^ has))
         # Interned results: (op, argument ids) -> id, and id -> per-world values.
         self._ids: dict[tuple[int, object, int], int] = {}
         self._results: list[list[int]] = []
         self._last: tuple[object, list[int]] | None = None
-
-    def _chunk_edges(self, relations: range) -> None:
-        """Widen the operands to every relation of the chunk and sort its
-        edges: one every relation has is a successor, one only some have is
-        gated by the mask of the relations lacking it, and one none has is
-        left out."""
-        self.relations = relations
-        count, start = len(relations), relations.start
-        block_bits = 3 * self.valuation_count
-        self._full = (1 << (block_bits * count)) - 1
-        self._gated = count > 1
-        n = len(self.worlds)
-        self._same_gated: list[list] = [[] for _ in range(n)]
-        self._diff_gated: list[list] = [[] for _ in range(n)]
-        for wi in range(n):
-            for ui in range(n):
-                bit = wi * n + ui
-                same = self._labels[wi] == self._labels[ui]
-                if 1 << bit < count:
-                    off = self._full ^ relation_bit_pattern(bit, block_bits, count)
-                    (self._same_gated if same else self._diff_gated)[wi].append((ui, off))
-                elif start >> bit & 1:
-                    (self._same if same else self._diff)[wi].append(ui)
 
     # -- packed operators ---------------------------------------------------
 
@@ -327,47 +318,26 @@ class FrameSweep:
         crisp = (v & (v >> 1) & (v >> 2) & ones) | (w & (w >> 1) & (w >> 2) & ones)
         return crisp * 7
 
-    def _box(self, sub: list[int], same: list[list[int]], diff: list[list[int]]) -> list[int]:
-        """Per world: the meet over the listed successors of their values,
-        down-interpreted into the world's carrier.  A same-lattice value
-        already lies in that carrier, where down-interpretation is the
-        identity."""
+    def _box(self, sub: list[int], same: list[list], diff: list[list]) -> list[int]:
+        """Per world: the meet over the listed (successor, off) pairs of the
+        successor's value, down-interpreted into the world's carrier, joined
+        with off.  A same-lattice value already lies in that carrier, where
+        down-interpretation is the identity."""
         ones = self._ones
         out = []
         for label, same_targets, diff_targets in zip(self._labels, same, diff):
             acc = self._full
-            for ui in same_targets:
-                acc &= sub[ui]
+            for ui, off in same_targets:
+                acc &= sub[ui] | off if off else sub[ui]
             if diff_targets:
                 atom_bit, co_lo, co_hi = _DOWN_SHAPE[label]
                 atoms = ones << atom_bit
-                for ui in diff_targets:
+                for ui, off in diff_targets:
                     v = sub[ui]
                     pair = (v >> co_lo) & (v >> co_hi) & ones
-                    acc &= (v & atoms) | (pair << co_lo) | (pair << co_hi)
+                    v = (v & atoms) | (pair << co_lo) | (pair << co_hi)
+                    acc &= v | off if off else v
             out.append(acc)
-        return out
-
-    def _gate(self, out: list[int], sub: list[int], same_gated: list[list],
-              diff_gated: list[list]) -> list[int]:
-        """Meet into each world's value from _box its gated successors: each
-        value, down-interpreted as there, joined with its edge's mask, the
-        all-ones block of every relation lacking the edge."""
-        ones = self._ones
-        for wi, (label, same_gates, diff_gates) in enumerate(
-            zip(self._labels, same_gated, diff_gated)
-        ):
-            acc = out[wi]
-            for ui, off in same_gates:
-                acc &= sub[ui] | off
-            if diff_gates:
-                atom_bit, co_lo, co_hi = _DOWN_SHAPE[label]
-                atoms = ones << atom_bit
-                for ui, off in diff_gates:
-                    v = sub[ui]
-                    pair = (v >> co_lo) & (v >> co_hi) & ones
-                    acc &= (v & atoms) | (pair << co_lo) | (pair << co_hi) | off
-            out[wi] = acc
         return out
 
     def _variable(self, name: str) -> list[int]:
@@ -399,15 +369,11 @@ class FrameSweep:
             return [x | y for x, y in zip(sub, self._results[b])]
         if op == BALL:
             return [self._ball(v) for v in sub]
-        none = self._no_succ
         if op == BOX:
-            out = self._box(sub, self._same, self._diff)
-            return self._gate(out, sub, self._same_gated, self._diff_gated) if self._gated else out
+            return self._box(sub, self._same, self._diff)
         if op == BOX_SAME:
-            out = self._box(sub, self._same, none)
-            return self._gate(out, sub, self._same_gated, none) if self._gated else out
-        out = self._box(sub, none, self._diff)
-        return self._gate(out, sub, none, self._diff_gated) if self._gated else out
+            return self._box(sub, self._same, self._no_succ)
+        return self._box(sub, self._no_succ, self._diff)
 
     # -- evaluation ---------------------------------------------------------
 

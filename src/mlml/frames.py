@@ -39,7 +39,8 @@ from ._sweep import (
     RelationChunk,
     ResourceBudgetExceeded,
     compile_formula,
-    relation_bit_pattern,
+    edge_masks,
+    relation_bits,
     relation_chunk_width,
     valuation_at,
 )
@@ -175,9 +176,8 @@ class ClauseViolation:
     clauses: Callable[[int, tuple[str, ...]], Iterable[Clause]]
 
     def __call__(self, frame: Frame) -> tuple | None:
-        worlds = frame.worlds
-        labels = tuple(frame.lattice_of[w] for w in worlds)
-        return _first_violation(self.clauses, worlds, labels, _relation_bits(frame))
+        labels = tuple(frame.lattice_of[w] for w in frame.worlds)
+        return _first_violation(self.clauses, frame.worlds, labels, relation_bits(frame))
 
 
 def _first_violation(
@@ -221,8 +221,7 @@ class FrameProperty:
         """Bit r set iff the frame on the labelled worlds whose relation
         bitmask is relations[r] has the property; `relations` is aligned as
         for a RelationChunk."""
-        count = len(relations)
-        every = (1 << count) - 1
+        every = (1 << len(relations)) - 1
         clauses = getattr(self.violation, "clauses", None)
         if clauses is None:
             return sum(
@@ -231,11 +230,7 @@ class FrameProperty:
                 if self.holds(_frame_from_bits(worlds, labels, bits))
             )
         n = len(worlds)
-        edges = [
-            relation_bit_pattern(k, 1, count) if 1 << k < count
-            else every if relations.start >> k & 1 else 0
-            for k in range(n * n)
-        ]
+        edges = edge_masks(relations, n * n, 1)
         failing = 0
         for _, required, forbidden in _clause_table(clauses, n, labels):
             fails = every
@@ -299,19 +294,10 @@ def _frame_from_bits(worlds: tuple[str, ...], labels: tuple[str, ...], bits: int
     return Frame(worlds, _relation_from_bits(worlds, bits), dict(zip(worlds, labels)))
 
 
-def _relation_bits(frame: Frame) -> int:
-    index = {w: i for i, w in enumerate(frame.worlds)}
-    n = len(frame.worlds)
-    bits = 0
-    for a, b in frame.relation:
-        bits |= 1 << (index[a] * n + index[b])
-    return bits
-
-
 def frame_encoding(frame: Frame) -> str:
     """Compact canonical id "<worlds>:<relation bits>:<labels>"."""
     labels = "".join(frame.lattice_of[w] for w in frame.worlds)
-    return f"{len(frame.worlds)}:{_relation_bits(frame)}:{labels}"
+    return f"{len(frame.worlds)}:{relation_bits(frame)}:{labels}"
 
 
 def _canonical_key(n: int, bits: int, labels: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:

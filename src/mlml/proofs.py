@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
@@ -285,14 +286,12 @@ def _cited_steps(
     return cited, None
 
 
-_CANONICAL_TAGS: dict[str, str] = {}
+_CANONICAL_TAGS = {t.lower(): t for t in RULE_TAGS}
 
 
 def _canonical_rule(tag: str) -> str:
     """Rule tags are matched ignoring case so that spelling variants of a
     proof file check identically."""
-    if not _CANONICAL_TAGS:
-        _CANONICAL_TAGS.update({t.lower(): t for t in RULE_TAGS})
     return _CANONICAL_TAGS.get(tag.lower(), tag)
 
 
@@ -478,6 +477,7 @@ def derivation_to_dict(derivation: Derivation) -> dict:
 
 
 def derivation_from_dict(doc: Mapping) -> Derivation:
+    parse = lru_cache(maxsize=None)(syntax.parse)  # one object per text, as premises recur
     steps = []
     for number, raw in enumerate(doc["steps"]):
         if not isinstance(raw, Mapping):
@@ -493,15 +493,15 @@ def derivation_from_dict(doc: Mapping) -> Derivation:
             if not isinstance(params, Mapping):
                 raise ValueError(f"step {number}: params must be an object")
             split = InSplit(
-                frozenset(syntax.parse(t) for t in params.get("lambda", ())),
-                frozenset(syntax.parse(t) for t in params.get("gamma", ())),
-                syntax.parse(params["phi"]),
+                frozenset(parse(t) for t in params.get("lambda", ())),
+                frozenset(parse(t) for t in params.get("gamma", ())),
+                parse(params["phi"]),
             )
         steps.append(
             DerivationStep(
                 judgment=Judgment(
-                    frozenset(syntax.parse(t) for t in raw.get("premises", ())),
-                    syntax.parse(raw["conclusion"]),
+                    frozenset(parse(t) for t in raw.get("premises", ())),
+                    parse(raw["conclusion"]),
                 ),
                 rule=raw["rule"],
                 cites=tuple(cites),

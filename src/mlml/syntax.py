@@ -26,7 +26,8 @@ parse(format_formula(f)) returns a tree structurally equal to f.
 The parser rejects a formula nested deeper than MAX_NESTING levels, counting
 each operator and each pair of parentheses as a level, so that every
 recursive function over a parsed tree stays well inside Python's recursion
-limit.
+limit.  The printer stops at MAX_FORMAT_LENGTH characters: the sugar it
+writes out shares operands, so '<->' chains print exponentially long.
 """
 
 from __future__ import annotations
@@ -35,60 +36,97 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Hashing and equality by structure.  The sugar shares operands, so the
+    tree of a '<->' chain is exponential in its length: a node keeps its hash,
+    and a comparison visits each pair of nodes once."""
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((type(self), *(getattr(self, n) for n in self.__dataclass_fields__)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # The hash mixes in string hashes, which differ between processes.
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()  # pairs equal or still on the stack
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b):
+                return False
+            seen.add((id(a), id(b)))
+            for name in a.__dataclass_fields__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, _Node):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Ball:
+@dataclass(frozen=True, eq=False)
+class Ball(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class Box:
+@dataclass(frozen=True, eq=False)
+class Box(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class Diamond:
+@dataclass(frozen=True, eq=False)
+class Diamond(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class BoxSame:
+@dataclass(frozen=True, eq=False)
+class BoxSame(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class BoxDiff:
+@dataclass(frozen=True, eq=False)
+class BoxDiff(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class Top:
+@dataclass(frozen=True, eq=False)
+class Top(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Bot:
+@dataclass(frozen=True, eq=False)
+class Bot(_Node):
     pass
 
 
@@ -174,14 +212,18 @@ _UNARY_PRETTY = {Not: "¬", Ball: "∘", Box: "□", Diamond: "◇",
 
 # Precedence used by the printer: atoms bind tightest, then the unary
 # operators, then & over |.  Normalized trees contain no other binaries.
-_PREC_ATOM = 5
 _PREC_UNARY = 4
 _PREC_AND = 3
 _PREC_OR = 2
 
 
+class ResourceBudgetExceeded(RuntimeError):
+    """Raised when printing, a sweep or a search would exceed its budget."""
+
+
 def format_formula(f: Formula, pretty: bool = False) -> str:
-    """Render with minimal parentheses; the ASCII form re-parses to f."""
+    """Render with minimal parentheses; the ASCII form re-parses to f.
+    Raises ResourceBudgetExceeded past MAX_FORMAT_LENGTH characters."""
     unary_ops = _UNARY_PRETTY if pretty else _UNARY_ASCII
     and_op = " ∧ " if pretty else " & "
     or_op = " ∨ " if pretty else " | "
@@ -204,6 +246,10 @@ def format_formula(f: Formula, pretty: bool = False) -> str:
         else:
             text = render(g.left, _PREC_OR) + or_op + render(g.right, _PREC_OR + 1)
             prec = _PREC_OR
+        if len(text) > MAX_FORMAT_LENGTH:
+            raise ResourceBudgetExceeded(
+                f"formula text longer than {MAX_FORMAT_LENGTH} characters"
+            )
         return "(" + text + ")" if prec < context else text
 
     return render(f, 0)
@@ -280,6 +326,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 MAX_NESTING = 100
+MAX_FORMAT_LENGTH = 1 << 20  # characters of one printed formula
 
 _UNARY_TOKENS = {"~": Not, "@": Ball, "[]": Box, "<>": Diamond, "[=]": BoxSame, "[-]": BoxDiff}
 # Binary operator token -> (precedence, right-associative, constructor).

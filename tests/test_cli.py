@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface and its exit statuses."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -326,3 +327,30 @@ def test_shared_subformulas_are_evaluated_once(tmp_path):
     assert done.returncode == 1  # the countermodel is re-checked with eval_formula
     assert done.stdout.startswith("invalid under ultrafilter e1; countermodel:\n")
     assert time.monotonic() - started < 10
+
+
+def _iff_chain_proof(tmp_path, operators):
+    """A Premise step whose premise and conclusion are the same chain, the
+    conclusion parenthesized so that it is parsed apart and compared by
+    structure."""
+    chain = " <-> ".join(["p"] * (operators + 1))
+    return _document(tmp_path, {"steps": [{"premises": [chain], "conclusion": f"({chain})",
+                                           "rule": "Premise", "cites": []}]})
+
+
+def test_printing_stops_at_the_format_length_cap(capsys, tmp_path):
+    """`<->` prints as its two implications, each holding both operands, so
+    the text doubles with each operator: a 30-operator chain would need tens
+    of GB and exits 3 instead, after hashing and comparing its shared nodes
+    once each, while a 12-operator one prints as it always has (155,625
+    bytes, digest taken before the cap existed)."""
+    started = time.monotonic()
+    code, out, err = run(capsys, "checkproof", "--proof", _iff_chain_proof(tmp_path, 30))
+    assert time.monotonic() - started < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap exceeded: formula text longer than")
+    code, out, _ = run(capsys, "checkproof", "--proof", _iff_chain_proof(tmp_path, 12))
+    assert code == 0 and len(out) == 155625
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "38f5980a0abffa929df41f70d0d5137520d98ba098b21520d88add821303d80b"
+    )

@@ -5,14 +5,15 @@ evaluated by `FrameSweep` on random labelled frames of up to three worlds and
 compared with `kripke.eval_formula` and `kripke.satisfies` at every world,
 for sampled valuations decoded by the sweep itself, under every ultrafilter.
 Sweeps over a chunk of relations are compared, relation by relation, with
-one sweep per frame.
+the one-relation chunk of each frame and with `kripke.eval_formula`.  World
+names are drawn in shuffled order, so a frame's worlds need not be sorted.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlml._sweep import FrameSweep, RelationChunk, compile_formula, relation_chunk_width
-from mlml.algebra import ULTRAFILTERS
+from mlml.algebra import DEFAULT_ULTRAFILTER, ULTRAFILTERS
 from mlml.kripke import Frame, Model, eval_formula, satisfies
 from mlml.syntax import (
     And, Ball, Bot, Box, BoxDiff, BoxSame, Diamond, Not, Or, Top, Var,
@@ -41,7 +42,7 @@ FORMULAS = _formulas(4)
 @st.composite
 def frames(draw) -> Frame:
     n = draw(st.integers(1, 3))
-    worlds = tuple(f"w{i + 1}" for i in range(n))
+    worlds = tuple(draw(st.permutations([f"w{i + 1}" for i in range(n)])))
     bits = draw(st.integers(0, (1 << (n * n)) - 1))
     labels = draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n))
     return _frame(worlds, labels, bits)
@@ -108,7 +109,7 @@ def test_one_sweep_across_formulas(frame, formulas, indices):
 @st.composite
 def relation_chunks(draw, names) -> RelationChunk:
     n = draw(st.integers(1, 3))
-    worlds = tuple(f"w{i + 1}" for i in range(n))
+    worlds = tuple(draw(st.permutations([f"w{i + 1}" for i in range(n)])))
     labels = tuple(draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n)))
     widest = relation_chunk_width(n, len(names)).bit_length() - 1
     width = 1 << draw(st.integers(0, widest))
@@ -124,17 +125,23 @@ CHUNK_CASES = st.sampled_from([(), ("p",), VARS]).flatmap(
 
 
 @settings(max_examples=150, deadline=None)
-@given(CHUNK_CASES)
-def test_packed_chunk_matches_one_sweep_per_frame(case):
+@given(CHUNK_CASES, INDICES)
+def test_packed_chunk_matches_one_sweep_per_frame(case, indices):
     names, chunk, formula = case
     program = compile_formula(formula)
     sweep = FrameSweep(chunk, names)
     block = 3 * sweep.valuation_count
-    singles = [FrameSweep(_frame(chunk.worlds, chunk.labels, bits), names)
-               for bits in chunk.relations]
+    frames = [_frame(chunk.worlds, chunk.labels, bits) for bits in chunk.relations]
+    singles = [FrameSweep(frame, names) for frame in frames]
     packed = sweep.values(program)
-    for r, single in enumerate(singles):
-        assert [v >> (block * r) & ((1 << block) - 1) for v in packed] == single.values(program)
+    for r, (frame, single) in enumerate(zip(frames, singles)):
+        values = [v >> (block * r) & ((1 << block) - 1) for v in packed]
+        assert values == single.values(program)
+        for index in indices:
+            index %= sweep.valuation_count
+            model = Model(frame, sweep.decode_valuation(index), DEFAULT_ULTRAFILTER)
+            for wi, w in enumerate(frame.worlds):
+                assert (values[wi] >> (3 * index)) & 7 == eval_formula(model, w, formula)
     for u in ULTRAFILTERS:
         invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
         failing = sweep.relations_meeting(invalid)

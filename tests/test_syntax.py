@@ -1,5 +1,7 @@
 """Parser, printer, corpus generator and the substitution transform."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -106,7 +108,10 @@ formula_trees = st.recursive(_leaves, _extend, max_leaves=25)
 
 @given(formula_trees)
 def test_round_trip(f):
-    assert parse(format_formula(f)) == f
+    g = parse(format_formula(f))
+    assert g == f and hash(g) == hash(f) and Not(g) != f
+    copied = pickle.loads(pickle.dumps(f))  # without the hash, which is per process
+    assert copied == f and "_hash" not in vars(copied)
 
 
 @given(formula_trees)
