@@ -32,10 +32,11 @@ from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import kripke, syntax
-from .algebra import Ultrafilter
+from .algebra import ULTRAFILTERS, Ultrafilter
 from ._sweep import (
     DEFAULT_MAX_VALUATIONS,
     FrameSweep,
+    Program,
     RelationChunk,
     ResourceBudgetExceeded,
     compile_formula,
@@ -597,6 +598,64 @@ def _search_chunks(n: int, variables: int) -> Iterator[range]:
         lo += step
 
 
+@lru_cache(maxsize=None)
+def _labelling_orbits(
+    n: int, ultrafilter_names: tuple[str, ...]
+) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """The labellings on n worlds up to renaming the worlds and permuting the
+    atoms e1, e2, e3 so that the named ultrafilters go to each other: the
+    least labelling of each orbit and the orbit's size, in labelling order.
+    Atom i goes with carrier "ABC"[i] and ultrafilter ULTRAFILTERS[i]."""
+    chosen = {i for i, u in enumerate(ULTRAFILTERS) if u.name in ultrafilter_names}
+    renamings = [dict(zip("ABC", ("ABC"[i] for i in perm)))
+                 for perm in permutations(range(3)) if {perm[i] for i in chosen} == chosen]
+    sizes: dict[tuple[str, ...], int] = {}
+    for labels in product("ABC", repeat=n):
+        # Sorting renames the worlds to the least arrangement.
+        least = min(tuple(sorted(r[x] for x in labels)) for r in renamings)
+        sizes[least] = sizes.get(least, 0) + 1
+    return tuple(sizes.items())
+
+
+def _orbit_count(
+    n: int,
+    var_names: tuple[str, ...],
+    premise_programs: list[Program],
+    goal_program: Program,
+    selected: tuple[Ultrafilter, ...],
+    frame_filter: FrameProperty | None,
+    max_valuations: int | None,
+    budget: int | None,
+) -> int | None:
+    """The search on n worlds over one labelling per orbit of
+    `_labelling_orbits`.  Renaming the worlds and permuting the atoms, with
+    the relation, the carriers and the ultrafilters moving in step, maps a
+    countermodel to a countermodel and keeps every property in PROPERTIES,
+    so if no representative has one, no frame on n worlds has.  Returns the
+    frames passing the filter on n worlds, each representative's counted
+    once per labelling of its orbit, or None at the first representative
+    with a countermodel or once the count passes `budget`."""
+    worlds = _world_names(n)
+    orbits = _labelling_orbits(n, tuple(sorted({u.name for u in selected})))
+    count = 0
+    for chunk in _search_chunks(n, len(var_names)):
+        for labels, size in orbits:
+            allowed = ((1 << len(chunk)) - 1 if frame_filter is None
+                       else frame_filter.relation_mask(worlds, labels, chunk))
+            count += size * allowed.bit_count()
+            if budget is not None and count > budget:
+                return None
+            if not allowed:
+                continue
+            sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
+                               max_valuations=max_valuations)
+            for u in selected:
+                bad = sweep.countermodel_mask(premise_programs, goal_program, u)
+                if bad and sweep.relations_meeting(bad) & allowed:
+                    return None
+    return count
+
+
 def _countermodel_scan(
     premises: tuple[Formula, ...],
     goal: Formula,
@@ -610,9 +669,15 @@ def _countermodel_scan(
     per labelling with a frame passing the filter, reduced to one mask of
     relations per ultrafilter.  The lowest relation wins, then the labelling,
     the ultrafilter and `lowest_index`, as frame by frame; max_frames counts
-    the frames passing the filter up to the hit's by popcount."""
+    the frames passing the filter up to the hit's by popcount.
+
+    With no filter or one from PROPERTIES, each world count is first swept
+    on its orbit representatives (`_orbit_count`), and only a world count
+    where they have a countermodel, or whose frames would pass the budget,
+    is scanned labelling by labelling."""
     if getattr(frame_filter, "__func__", None) is FrameProperty.holds:
         frame_filter = frame_filter.__self__  # a bound `holds`, as the is_* aliases are
+    symmetric = frame_filter is None or frame_filter in PROPERTIES.values()
     if frame_filter is not None and not isinstance(frame_filter, FrameProperty):
         predicate = frame_filter
         frame_filter = FrameProperty("filter", lambda frame: None if predicate(frame) else ())
@@ -621,6 +686,13 @@ def _countermodel_scan(
     goal_program = compile_formula(goal)
     seen = 0
     for n in range(1, max_worlds + 1):
+        if symmetric:
+            count = _orbit_count(n, var_names, premise_programs, goal_program, selected,
+                                 frame_filter, max_valuations,
+                                 None if max_frames is None else max_frames - seen)
+            if count is not None:
+                seen += count
+                continue
         worlds = _world_names(n)
         labellings = list(product("ABC", repeat=n))
         for chunk in _search_chunks(n, len(var_names)):
@@ -652,6 +724,10 @@ def _countermodel_scan(
             if hit is not None:
                 frame = _frame_from_bits(worlds, labellings[i], chunk.start + r)
                 return Model(frame, sweep.decode_valuation(sweep.lowest_index(bad, r)), u)
+        if symmetric:
+            # The orbit sweep stopped for a countermodel or for the budget,
+            # and either ends the scan above.
+            raise AssertionError("orbit representatives and the canonical scan disagree")
     return None
 
 

@@ -241,16 +241,32 @@ _FRAME = kripke.Frame(("w",), frozenset(), {"w": "A"})
 
 def _abstract(f: Formula, atoms: dict[Formula, Var]) -> Formula:
     """The Boolean skeleton of f, with every variable and every ball- or
-    modal-headed subformula frozen to a fresh atom."""
-    if isinstance(f, (Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(_abstract(f.sub, atoms))
-    if isinstance(f, (And, Or)):
-        return type(f)(_abstract(f.left, atoms), _abstract(f.right, atoms))
-    if f not in atoms:
-        atoms[f] = Var(f"a{len(atoms)}")
-    return atoms[f]
+    modal-headed subformula frozen to a fresh atom, numbered in the order a
+    walk of the tree first meets them, left operand first.  The sugar shares
+    operands, so the walk is iterative and abstracts each node once: what f
+    shares, the skeleton shares."""
+    done: dict[int, Formula] = {}  # id of a node of f -> its skeleton
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in done:
+            stack.pop()
+            continue
+        if isinstance(g, (Not, And, Or)):
+            subs = (g.sub,) if isinstance(g, Not) else (g.left, g.right)
+            pending = [s for s in reversed(subs) if id(s) not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            done[id(g)] = type(g)(*(done[id(s)] for s in subs))
+        elif isinstance(g, (Top, Bot)):
+            done[id(g)] = g
+        else:
+            if g not in atoms:
+                atoms[g] = Var(f"a{len(atoms)}")
+            done[id(g)] = atoms[g]
+        stack.pop()
+    return done[id(f)]
 
 
 def tautological_consequence(assumptions: Sequence[Formula], conclusion: Formula) -> bool:

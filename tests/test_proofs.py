@@ -2,10 +2,12 @@
 rules, and the semantic cross-check."""
 
 import dataclasses
+import time
 
 import pytest
 
 from mlml.proofs import (
+    _abstract,
     Derivation,
     DerivationStep,
     InSplit,
@@ -19,7 +21,7 @@ from mlml.proofs import (
     semantic_crosscheck,
     tautological_consequence,
 )
-from mlml.syntax import Box, Var, parse
+from mlml.syntax import And, Bot, Box, Not, Or, Top, Var, parse
 
 
 def step(premise_texts, conclusion_text, rule, cites=(), split=None):
@@ -147,6 +149,48 @@ def test_tautological_consequence_abstraction():
     assert not tautological_consequence([parse("p | q")], parse("p"))
     # ball-headed formulas freeze whole: @p and @(p) are one atom, @q another
     assert not tautological_consequence([parse("@p")], parse("@q"))
+
+
+def _tree_abstract(f, atoms):
+    """The abstraction as a recursive walk of the tree, building a tree:
+    the reference for the iterative one."""
+    if isinstance(f, (Top, Bot)):
+        return f
+    if isinstance(f, Not):
+        return Not(_tree_abstract(f.sub, atoms))
+    if isinstance(f, (And, Or)):
+        return type(f)(_tree_abstract(f.left, atoms), _tree_abstract(f.right, atoms))
+    if f not in atoms:
+        atoms[f] = Var(f"a{len(atoms)}")
+    return atoms[f]
+
+
+def _iff_chain(operators, leaves):
+    return parse(" <-> ".join(leaves[i % len(leaves)] for i in range(operators + 1)))
+
+
+def test_tautcons_on_iff_chains():
+    """`<->` shares its operands, so a chain's tree doubles per operator.
+    Up to ten operators the abstraction equals the tree walk's, atoms and
+    their numbering included; p <-> ... <-> p is a tautology for an odd
+    number of operators, and a chain is one exactly when every leaf occurs
+    an even number of times; and 24 operators take well under a second."""
+    for operators in range(1, 11):
+        for leaves in (["p"], ["p", "[]p"], ["@q", "p", "<>(p & q)", "p"]):
+            f = _iff_chain(operators, leaves)
+            atoms, reference = {}, {}
+            assert _abstract(f, atoms) == _tree_abstract(f, reference)
+            assert list(atoms.items()) == list(reference.items())
+        chain = _iff_chain(operators, ["p"])
+        assert tautological_consequence([], chain) == (operators % 2 == 1)
+        assert tautological_consequence([chain], _iff_chain(operators + 2, ["p"]))
+    started = time.perf_counter()
+    verdicts = [tautological_consequence([], _iff_chain(23, ["p", "[]p"])),
+                tautological_consequence([], _iff_chain(24, ["p", "[]p"])),
+                tautological_consequence([], _iff_chain(24, ["p"])),
+                tautological_consequence([], _iff_chain(25, ["p"]))]
+    assert time.perf_counter() - started < 1.0
+    assert verdicts == [True, False, False, True]
 
 
 def test_tautological_consequence_implies_exact_top_in_four_values():

@@ -3,18 +3,32 @@ frame-by-frame search it replaced, which is kept here as the reference.
 
 Random premises and goals over p and q are searched on every frame with up
 to two worlds, and up to three for one variable, under a random ordered
-subset of the ultrafilters, with no frame filter, a `PROPERTIES` entry or a
-plain predicate, a random valuation cap, and a random frame budget as well as
-the budgets that end just at and just before the countermodel's frame.  Both
-searches must return the same model or raise the same exception with the
-same message.
+subset of the ultrafilters, with no frame filter, a `PROPERTIES` entry, a
+property whose clauses single out world w1, or a plain predicate, a random
+valuation cap, and a random frame budget as well as the budgets that end
+just at and just before the countermodel's frame.  Both searches must return
+the same model or raise the same exception with the same message.
+
+The search first sweeps one labelling per orbit of world renamings and atom
+permutations; the symmetry that makes this sound is checked here on every
+property and every frame with up to three worlds.
 """
 
+from itertools import permutations, product
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mlml import frames
 from mlml._sweep import FrameSweep, ResourceBudgetExceeded
 from mlml.algebra import ULTRAFILTERS
-from mlml.frames import PROPERTIES, FrameProperty, enumerate_frames
+from mlml.frames import (
+    PROPERTIES,
+    ClauseViolation,
+    FrameProperty,
+    _labelling_orbits,
+    enumerate_frames,
+)
 from mlml.kripke import Model, countermodel_search
 from mlml.syntax import parse, variables
 
@@ -53,7 +67,16 @@ def _even_edges(frame) -> bool:
     return len(frame.relation) % 2 == 0
 
 
-FILTERS = st.sampled_from([None, _even_edges] + list(PROPERTIES))
+def _w1_loop(n, labels):
+    """The one clause: a relation lacking the edge w1 -> w1 fails."""
+    yield (0,), 0, 1
+
+
+# Renaming the worlds does not keep this property, so the search must not
+# reduce it to orbit representatives.
+W1_LOOP = FrameProperty("w1_loop", ClauseViolation(_w1_loop))
+
+FILTERS = st.sampled_from([None, _even_edges, W1_LOOP] + list(PROPERTIES))
 
 
 @st.composite
@@ -87,6 +110,21 @@ def _frames_reached(frame, frame_filter) -> int:
 # The README's two searches: a hit on the 26th frame, and one on Euclidean frames.
 @example(([parse("p")], parse("[]p"), 2, ULTRAFILTERS, None, 4 ** 10, None))
 @example(([], parse("<>p -> []<>p"), 3, ULTRAFILTERS, "euclidean", 4 ** 10, None))
+# No countermodel at three worlds, under every ultrafilter and under e2 alone.
+@example(([parse("p"), parse("@p")], parse("@(p | q)"), 3, ULTRAFILTERS, None, 4 ** 10, None))
+@example(([parse("p"), parse("@p")], parse("@(p | q)"), 3, ULTRAFILTERS[1:2], None, 4 ** 10,
+          None))
+# None on reflexive frames: 3 + 36 + 1,728 of them, a budget just at and just below.
+@example(([], parse("[]p -> p"), 3, ULTRAFILTERS, "reflexive", 4 ** 10, 1767))
+@example(([], parse("[]p -> p"), 3, ULTRAFILTERS, "reflexive", 4 ** 10, 1766))
+# The first countermodel under e1 has a loop at a B-world and none at the
+# A-world; the representative AB of its orbit puts w1 in A.
+@example(([parse("<>p"), parse("p")], parse("<>[-]p"), 2, ULTRAFILTERS[:1], W1_LOOP, 4 ** 10,
+          None))
+# Under e2 alone, an atom permutation that moves e2 is no symmetry: the first
+# countermodel has labels A, C, and A, B, in its orbit under all of S_3, has
+# none on that relation.
+@example(([parse("~p & <>p")], parse("p"), 2, ULTRAFILTERS[1:2], None, 4 ** 10, None))
 def test_chunked_search_matches_the_per_frame_search(case):
     premises, goal, max_worlds, ultrafilters, frame_filter, max_valuations, max_frames = case
     prop = PROPERTIES[frame_filter] if isinstance(frame_filter, str) else frame_filter
@@ -135,3 +173,82 @@ def test_a_bound_holds_filter_searches_on_the_clause_masks(monkeypatch):
     model = countermodel_search([], goal, 3, frame_filter=frames.is_reflexive)
     assert model is not None
     assert model == countermodel_search([], goal, 3, frame_filter=reflexive)
+
+
+def test_a_search_without_a_countermodel_sweeps_the_orbit_representatives(monkeypatch):
+    """One labelling per orbit for no filter and for a `PROPERTIES` entry,
+    every labelling for a property whose clauses single out a world."""
+    swept = []
+    sweep = frames.FrameSweep
+    monkeypatch.setattr(frames, "FrameSweep",
+                        lambda chunk, *args, **kw: swept.append(chunk.labels) or sweep(chunk, *args, **kw))
+    judgment = ([parse("p"), parse("@p")], parse("@(p | q)"), 3)
+    for ultrafilters, frame_filter, labellings in (
+        (ULTRAFILTERS, None, [("A",), ("A", "A"), ("A", "B"), ("A", "A", "A"),
+                              ("A", "A", "B"), ("A", "B", "C")]),
+        (ULTRAFILTERS[1:2], PROPERTIES["reflexive"],
+         [x for n in (1, 2, 3) for x, _ in _labelling_orbits(n, ("e2",))]),
+        (ULTRAFILTERS, W1_LOOP, [x for n in (1, 2, 3) for x in product("ABC", repeat=n)]),
+    ):
+        swept.clear()
+        assert countermodel_search(*judgment, ultrafilters, frame_filter) is None
+        assert sorted(set(swept), key=lambda x: (len(x), x)) == labellings
+
+
+def _moved(labels, sigma, rename):
+    """World i's label, renamed, at world sigma[i]."""
+    image = [""] * len(labels)
+    for i, label in enumerate(labels):
+        image[sigma[i]] = rename[label]
+    return tuple(image)
+
+
+def _images(labels, atom_names):
+    """The orbit of a labelling: every world renaming and every permutation
+    of A, B, C whose atoms map the named ultrafilters to each other."""
+    atom = dict(zip("ABC", ("e1", "e2", "e3")))
+    orbit = set()
+    for letters in permutations("ABC"):
+        rename = dict(zip("ABC", letters))
+        if {atom[rename[x]] for x in "ABC" if atom[x] in atom_names} != set(atom_names):
+            continue
+        orbit.update(_moved(labels, sigma, rename) for sigma in permutations(range(len(labels))))
+    return orbit
+
+
+@pytest.mark.parametrize("names, counts", [
+    (("e1", "e2", "e3"), [1, 2, 3, 4, 5]),
+    (("e1",), [2, 4, 6, 9, 12]),
+    (("e2",), [2, 4, 6, 9, 12]),
+    (("e3",), [2, 4, 6, 9, 12]),
+    (("e1", "e3"), [2, 4, 6, 9, 12]),
+])
+def test_labelling_orbits_are_least_labellings_with_their_orbit_sizes(names, counts):
+    for n, count in zip(range(1, 6), counts):
+        orbits = _labelling_orbits(n, names)
+        assert len(orbits) == count
+        assert sum(size for _, size in orbits) == 3 ** n
+        for labels, size in orbits:
+            orbit = _images(labels, names)
+            assert min(orbit) == labels and len(orbit) == size
+
+
+@pytest.mark.parametrize("name", list(PROPERTIES))
+def test_properties_keep_the_world_and_atom_symmetry(name):
+    """For every labelling L, world permutation s and permutation of A, B, C:
+    the relation mask of the permuted labelling over all relations is the
+    mask of L with each relation renamed by s."""
+    prop = PROPERTIES[name]
+    for n in (1, 2, 3):
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        relations = range(1 << (n * n))
+        masks = {labels: prop.relation_mask(worlds, labels, relations)
+                 for labels in product("ABC", repeat=n)}
+        for sigma in permutations(range(n)):
+            moved = [sum(1 << (sigma[i] * n + sigma[j])
+                         for i in range(n) for j in range(n) if r >> (i * n + j) & 1)
+                     for r in relations]
+            for labels, mask in masks.items():
+                renamed = sum(1 << moved[r] for r in relations if mask >> r & 1)
+                for letters in permutations("ABC"):
+                    assert masks[_moved(labels, sigma, dict(zip("ABC", letters)))] == renamed
