@@ -1,6 +1,7 @@
 """Frame properties, exhaustive frame enumeration, the correspondence
 harness that tests "valid on F iff F has property P" over all small frames,
-and the chunked scan behind kripke.countermodel_search.
+and the countermodel search's one scan of relation chunks over weighted
+labellings.
 
 Frames on n labeled worlds are enumerated canonically: relations as n*n-bit
 masks (bit i*n+j set meaning world i reaches world j) in increasing numeric
@@ -25,6 +26,7 @@ split in a fixed pattern.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,7 +38,6 @@ from .algebra import ULTRAFILTERS, Ultrafilter
 from ._sweep import (
     DEFAULT_MAX_VALUATIONS,
     FrameSweep,
-    Program,
     RelationChunk,
     ResourceBudgetExceeded,
     compile_formula,
@@ -486,8 +487,8 @@ def _correspondence_chunk(job: tuple) -> tuple[int, list[Row]]:
 
 def _recheck(report: CorrespondenceReport, prop: FrameProperty, formula: Formula) -> None:
     """Replay the first mismatch of each direction and ultrafilter on the
-    definitional side: the countermodel on kripke.first_failing_world, the
-    violation on the property's own finder."""
+    definitional side: the countermodel with kripke's countermodel re-check,
+    the violation on the property's own finder."""
     seen: set[tuple[str, str]] = set()
     mismatches = report.mismatches
     for i, (_, _, _, u, witness) in enumerate(report.rows):
@@ -497,8 +498,8 @@ def _recheck(report: CorrespondenceReport, prop: FrameProperty, formula: Formula
         seen.add(key)
         m = mismatches[i]
         if isinstance(witness, int):
-            agree = (prop.holds(m.frame)
-                     and kripke.first_failing_world(m.witness, formula) is not None)
+            kripke._checked_countermodel(m.witness, (), formula)
+            agree = prop.holds(m.frame)
         else:
             agree = prop.violation(m.frame) == witness
         if not agree:
@@ -588,16 +589,6 @@ def correspondence_check(
 # ---------------------------------------------------------------------------
 
 
-def _search_chunks(n: int, variables: int) -> Iterator[range]:
-    """Aligned ranges over every relation on n worlds, 1, 1, 2, 4, ... wide up
-    to relation_chunk_width, so that an early hit stays cheap."""
-    width, lo = relation_chunk_width(n, variables), 0
-    while lo < 1 << (n * n):
-        step = min(width, max(1, lo))
-        yield range(lo, lo + step)
-        lo += step
-
-
 @lru_cache(maxsize=None)
 def _labelling_orbits(
     n: int, ultrafilter_names: tuple[str, ...]
@@ -617,45 +608,6 @@ def _labelling_orbits(
     return tuple(sizes.items())
 
 
-def _orbit_count(
-    n: int,
-    var_names: tuple[str, ...],
-    premise_programs: list[Program],
-    goal_program: Program,
-    selected: tuple[Ultrafilter, ...],
-    frame_filter: FrameProperty | None,
-    max_valuations: int | None,
-    budget: int | None,
-) -> int | None:
-    """The search on n worlds over one labelling per orbit of
-    `_labelling_orbits`.  Renaming the worlds and permuting the atoms, with
-    the relation, the carriers and the ultrafilters moving in step, maps a
-    countermodel to a countermodel and keeps every property in PROPERTIES,
-    so if no representative has one, no frame on n worlds has.  Returns the
-    frames passing the filter on n worlds, each representative's counted
-    once per labelling of its orbit, or None at the first representative
-    with a countermodel or once the count passes `budget`."""
-    worlds = _world_names(n)
-    orbits = _labelling_orbits(n, tuple(sorted({u.name for u in selected})))
-    count = 0
-    for chunk in _search_chunks(n, len(var_names)):
-        for labels, size in orbits:
-            allowed = ((1 << len(chunk)) - 1 if frame_filter is None
-                       else frame_filter.relation_mask(worlds, labels, chunk))
-            count += size * allowed.bit_count()
-            if budget is not None and count > budget:
-                return None
-            if not allowed:
-                continue
-            sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
-                               max_valuations=max_valuations)
-            for u in selected:
-                bad = sweep.countermodel_mask(premise_programs, goal_program, u)
-                if bad and sweep.relations_meeting(bad) & allowed:
-                    return None
-    return count
-
-
 def _countermodel_scan(
     premises: tuple[Formula, ...],
     goal: Formula,
@@ -665,16 +617,14 @@ def _countermodel_scan(
     max_valuations: int | None,
     max_frames: int | None,
 ) -> Model | None:
-    """kripke.countermodel_search over relation chunks: per chunk, one sweep
-    per labelling with a frame passing the filter, reduced to one mask of
-    relations per ultrafilter.  The lowest relation wins, then the labelling,
-    the ultrafilter and `lowest_index`, as frame by frame; max_frames counts
-    the frames passing the filter up to the hit's by popcount.
-
-    With no filter or one from PROPERTIES, each world count is first swept
-    on its orbit representatives (`_orbit_count`), and only a world count
-    where they have a countermodel, or whose frames would pass the budget,
-    is scanned labelling by labelling."""
+    """kripke.countermodel_search: per world count, a `scan` over every
+    labelling, each of weight 1.  Renaming the worlds and permuting the
+    atoms, with the relation, the carriers and the ultrafilters moving in
+    step, maps a countermodel to a countermodel and keeps every property in
+    PROPERTIES.  So with no filter or one of those, each world count is first
+    scanned on the orbit representatives of `_labelling_orbits`, weighted by
+    orbit size, and on every labelling only where they have a countermodel
+    or pass the budget."""
     if getattr(frame_filter, "__func__", None) is FrameProperty.holds:
         frame_filter = frame_filter.__self__  # a bound `holds`, as the is_* aliases are
     symmetric = frame_filter is None or frame_filter in PROPERTIES.values()
@@ -684,28 +634,32 @@ def _countermodel_scan(
     var_names = tuple(sorted(set().union(*(syntax.variables(g) for g in premises + (goal,)))))
     premise_programs = [compile_formula(p) for p in premises]
     goal_program = compile_formula(goal)
-    seen = 0
-    for n in range(1, max_worlds + 1):
-        if symmetric:
-            count = _orbit_count(n, var_names, premise_programs, goal_program, selected,
-                                 frame_filter, max_valuations,
-                                 None if max_frames is None else max_frames - seen)
-            if count is not None:
-                seen += count
-                continue
+
+    def scan(n: int, weighted: Sequence[tuple[tuple[str, ...], int]],
+             budget: float) -> tuple[Model | None, int]:
+        """The search on n worlds over (labelling, weight) pairs, in relation
+        chunks 1, 1, 2, 4, ... wide so that an early hit stays cheap: per
+        chunk, one sweep per labelling with a frame passing the filter, and
+        the lowest relation wins, then the labelling, the ultrafilter and
+        `lowest_index`, as frame by frame.  Returns the first countermodel,
+        or None, and the weighted count of the frames passing the filter up
+        to it.  Stops at the chunk where that count passes `budget`, and
+        sweeps nothing once the count has reached it."""
         worlds = _world_names(n)
-        labellings = list(product("ABC", repeat=n))
-        for chunk in _search_chunks(n, len(var_names)):
+        width, lo, count = relation_chunk_width(n, len(var_names)), 0, 0
+        while lo < 1 << (n * n):
+            chunk = range(lo, lo + min(width, max(1, lo)))
+            lo = chunk.stop
             below = (1 << len(chunk)) - 1  # the relations a hit must be below
             passing = [below if frame_filter is None
                        else frame_filter.relation_mask(worlds, labels, chunk)
-                       for labels in labellings]
+                       for labels, _ in weighted]
             hit = None
-            # With the budget spent, any frame passing the filter here is over it.
-            for i, allowed in enumerate(passing if max_frames is None or seen < max_frames else ()):
+            # With the budget reached, any frame passing the filter is over it.
+            for i, allowed in enumerate(passing if count < budget else ()):
                 if not allowed & below:
                     continue
-                sweep = FrameSweep(RelationChunk(worlds, labellings[i], chunk), var_names,
+                sweep = FrameSweep(RelationChunk(worlds, weighted[i][0], chunk), var_names,
                                    max_valuations=max_valuations)
                 for u in selected:
                     if not allowed & below:
@@ -715,18 +669,33 @@ def _countermodel_scan(
                     if hits:
                         r = (hits & -hits).bit_length() - 1
                         hit, below = (r, i, u, bad, sweep), (1 << r) - 1
-            seen += sum((mask & below).bit_count() for mask in passing)
+            count += sum(weight * (mask & below).bit_count()
+                         for (_, weight), mask in zip(weighted, passing))
             if hit is not None:
                 r, i, u, bad, sweep = hit
-                seen += sum(mask >> r & 1 for mask in passing[:i + 1])
-            if max_frames is not None and seen > max_frames:
-                raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")
-            if hit is not None:
-                frame = _frame_from_bits(worlds, labellings[i], chunk.start + r)
-                return Model(frame, sweep.decode_valuation(sweep.lowest_index(bad, r)), u)
+                count += sum(weight * (mask >> r & 1)
+                             for (_, weight), mask in zip(weighted[:i + 1], passing))
+                frame = _frame_from_bits(worlds, weighted[i][0], chunk.start + r)
+                return Model(frame, sweep.decode_valuation(sweep.lowest_index(bad, r)), u), count
+            if count > budget:
+                break
+        return None, count
+
+    orbit_key = tuple(sorted({u.name for u in selected}))
+    limit, seen = math.inf if max_frames is None else max_frames, 0
+    for n in range(1, max_worlds + 1):
         if symmetric:
-            # The orbit sweep stopped for a countermodel or for the budget,
-            # and either ends the scan above.
+            model, count = scan(n, _labelling_orbits(n, orbit_key), limit - seen)
+            if model is None and seen + count <= limit:
+                seen += count
+                continue
+        model, count = scan(n, [(labels, 1) for labels in product("ABC", repeat=n)], limit - seen)
+        seen += count
+        if seen > limit:
+            raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")
+        if model is not None:
+            return model
+        if symmetric:
             raise AssertionError("orbit representatives and the canonical scan disagree")
     return None
 

@@ -237,19 +237,29 @@ def find_frame_countermodel(
     f: Formula,
     ultrafilter: Ultrafilter = DEFAULT_ULTRAFILTER,
     max_valuations: int | None = DEFAULT_MAX_VALUATIONS,
+    premises: Iterable[Formula] = (),
 ) -> Model | None:
-    """The canonically first model on the frame falsifying f somewhere,
-    or None when f is valid on the frame.
+    """The canonically first model on the frame satisfying every premise
+    everywhere and falsifying f somewhere, or None; with no premises, None
+    when f is valid on the frame.
 
-    Every variable of f independently ranges over each world's four carrier
+    Every variable independently ranges over each world's four carrier
     values, so the sweep covers 4 ** (worlds * variables) models.
     """
-    sweep = FrameSweep(frame, syntax.variables(f), max_valuations=max_valuations)
-    index = sweep.first_invalid_index(f, ultrafilter)
+    premises = tuple(premises)
+    names = sorted(set(syntax.variables(f)).union(*map(syntax.variables, premises)))
+    sweep = FrameSweep(frame, names, max_valuations=max_valuations)
+    index = sweep.countermodel_index(premises, f, ultrafilter)
     if index is None:
         return None
-    model = Model(frame, sweep.decode_valuation(index), ultrafilter)
-    if first_failing_world(model, f) is None:
+    return _checked_countermodel(Model(frame, sweep.decode_valuation(index), ultrafilter),
+                                 premises, f)
+
+
+def _checked_countermodel(model: Model, premises: tuple[Formula, ...], goal: Formula) -> Model:
+    """The model, once this module's evaluator confirms that it satisfies
+    every premise at every world and fails the goal at some world."""
+    if not all(model_valid(model, p) for p in premises) or model_valid(model, goal):
         raise AssertionError("sweep and definitional evaluator disagree")
     return model
 
@@ -302,11 +312,7 @@ def countermodel_search(
     premises = tuple(premises)
     model = _countermodel_scan(premises, goal, max_worlds, _resolve_ultrafilters(ultrafilters),
                                frame_filter, max_valuations, max_frames)
-    if model is not None and (
-        not all(model_valid(model, p) for p in premises) or model_valid(model, goal)
-    ):
-        raise AssertionError("sweep and definitional evaluator disagree")
-    return model
+    return None if model is None else _checked_countermodel(model, premises, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +382,22 @@ def frame_to_dict(frame: Frame) -> dict:
     }
 
 
+def _json_list(value: object, what: str) -> list | tuple:
+    """A value a document must give as an array: a string there would be
+    read one character at a time."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
 def frame_from_dict(doc: Mapping) -> Frame:
     try:
-        worlds = tuple(doc["worlds"])
+        worlds = tuple(_json_list(doc["worlds"], "worlds"))
+        if not isinstance(doc["lattices"], Mapping):
+            raise ValueError("lattices must map worlds to labels")
         lattices = dict(doc["lattices"])
-        edges = frozenset((a, b) for a, b in doc["edges"])
+        pairs = (_json_list(e, "each edge") for e in _json_list(doc["edges"], "edges"))
+        edges = frozenset((a, b) for a, b in pairs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad frame document: {exc}") from exc
     if not all(isinstance(w, str) for w in worlds):

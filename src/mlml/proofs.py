@@ -492,6 +492,11 @@ def derivation_to_dict(derivation: Derivation) -> dict:
     return {"steps": steps}
 
 
+def _formula_set(parse, owner: Mapping, key: str, number: int) -> frozenset[Formula]:
+    """The formulas whose texts an optional array of step `number` lists."""
+    return frozenset(map(parse, kripke._json_list(owner.get(key, ()), f"step {number}: {key}")))
+
+
 def derivation_from_dict(doc: Mapping) -> Derivation:
     parse = lru_cache(maxsize=None)(syntax.parse)  # one object per text, as premises recur
     steps = []
@@ -509,14 +514,14 @@ def derivation_from_dict(doc: Mapping) -> Derivation:
             if not isinstance(params, Mapping):
                 raise ValueError(f"step {number}: params must be an object")
             split = InSplit(
-                frozenset(parse(t) for t in params.get("lambda", ())),
-                frozenset(parse(t) for t in params.get("gamma", ())),
+                _formula_set(parse, params, "lambda", number),
+                _formula_set(parse, params, "gamma", number),
                 parse(params["phi"]),
             )
         steps.append(
             DerivationStep(
                 judgment=Judgment(
-                    frozenset(parse(t) for t in raw.get("premises", ())),
+                    _formula_set(parse, raw, "premises", number),
                     parse(raw["conclusion"]),
                 ),
                 rule=raw["rule"],

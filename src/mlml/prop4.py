@@ -3,15 +3,16 @@
 The four-valued algebra {1, 0, a, -a} with the ball operator is realized as
 the carrier A of B8 under the e1-generated ultrafilter, so a = e1 and the
 designated values are {1, a}.  A valuation into {1, 0, a, -a} is a model on
-the one-world frame labelled A, so this module has no evaluator of its own:
-`eval4` is `kripke.eval_formula` on that model, and consequence is a sweep of
-the packed engine over every valuation of that frame.  Every connective here
-is value-functional, so that sweep is exact, and for the same reason the
-schematic inference rules of the propositional calculus can be checked on
-single-variable instantiations; `rule_soundness_report` does exactly that for
-the eleven value-functional schemes and handles ball introduction (a rule
-about theoremhood, not values) by checking that every formula in the bundled
-theorem list evaluates to exactly 1 under every assignment.
+the one-world frame labelled A, so this module has no evaluator or search of
+its own: `eval4` is `kripke.eval_formula` on that model, and consequence is
+`kripke.find_frame_countermodel` on that frame, with the premises.  Every
+connective here is value-functional, so that search is exact, and for the
+same reason the schematic inference rules of the propositional calculus can
+be checked on single-variable instantiations; `rule_soundness_report` does
+exactly that for the eleven value-functional schemes and handles ball
+introduction (a rule about theoremhood, not values) by checking that every
+formula in the bundled theorem list evaluates to exactly 1 under every
+assignment: f is 1 exactly where `@f & f` is designated.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from typing import Iterable, Mapping
 from itertools import product
 
 from . import algebra, kripke, syntax
-from ._sweep import FrameSweep
-from .algebra import BOT, DEFAULT_ULTRAFILTER, E1, E23, TOP
+from .algebra import BOT, E1, E23, TOP
 from .syntax import Formula
 
 __all__ = [
@@ -82,14 +82,11 @@ def _require_propositional(f: Formula) -> None:
             stack += (g.right, g.left)
 
 
-def _model(assignment: Mapping[str, int]) -> kripke.Model:
-    return kripke.Model(_FRAME, {(_WORLD, k): v for k, v in assignment.items()})
-
-
 def eval4(f: Formula, assignment: Mapping[str, int]) -> int:
     """Value of a modal-free formula under an assignment into {1, 0, a, -a}."""
     _require_propositional(f)
-    return kripke.eval_formula(_model(assignment), _WORLD, f)
+    model = kripke.Model(_FRAME, {(_WORLD, k): v for k, v in assignment.items()})
+    return kripke.eval_formula(model, _WORLD, f)
 
 
 def all_valuations4(var_names: Iterable[str]) -> Iterable[dict[str, int]]:
@@ -115,35 +112,21 @@ class Consequence4Result:
         return ", ".join(f"{name}={value4_name(v)}" for name, v in sorted(self.witness.items()))
 
 
-def _sweep(formulas: Iterable[Formula]) -> FrameSweep:
-    names: set[str] = set()
-    for f in formulas:
-        names.update(syntax.variables(f))
-    return FrameSweep(_FRAME, sorted(names))
-
-
-def _assignment(sweep: FrameSweep, index: int) -> dict[str, int]:
-    return {name: v for (_, name), v in sweep.decode_valuation(index).items()}
-
-
 def consequence4(premises: Iterable[Formula], goal: Formula) -> Consequence4Result:
     """Whether every assignment designating all premises designates the goal.
 
-    On failure the first refuting assignment (in all_valuations4 order)
-    comes back as the witness, re-checked against kripke.eval_formula.
+    This is kripke.find_frame_countermodel on the one-world frame labelled A
+    under e1, so on failure the first refuting assignment (in
+    all_valuations4 order) comes back as the witness, re-checked against
+    kripke.eval_formula.
     """
     premises = tuple(premises)
     for f in premises + (goal,):
         _require_propositional(f)
-    sweep = _sweep(premises + (goal,))
-    index = sweep.countermodel_index(premises, goal, DEFAULT_ULTRAFILTER)
-    if index is None:
+    model = kripke.find_frame_countermodel(_FRAME, goal, premises=premises)
+    if model is None:
         return Consequence4Result(True)
-    witness = _assignment(sweep, index)
-    model = _model(witness)
-    if not all(kripke.model_valid(model, p) for p in premises) or kripke.model_valid(model, goal):
-        raise AssertionError("sweep and definitional evaluator disagree")
-    return Consequence4Result(False, witness)
+    return Consequence4Result(False, {name: v for (_, name), v in model.valuation.items()})
 
 
 def tautology4(f: Formula) -> Consequence4Result:
@@ -256,13 +239,11 @@ def rule_soundness_report() -> list[RuleCheck]:
     ib_witness = ""
     for text in THEOREM_BUNDLE:
         f = syntax.parse(text)
-        sweep = _sweep((f,))
-        (value,), (top,) = sweep.values(f), sweep.values(syntax.Top())
-        if value != top:
-            off = value ^ top
-            first = _assignment(sweep, ((off & -off).bit_length() - 1) // 3)
+        # Under e1 on carrier A, @f & f is designated exactly where f is 1.
+        result = tautology4(syntax.And(syntax.Ball(f), f))
+        if not result.holds:
             ib_passed = False
-            ib_witness = f"{text} is not exactly 1 at {Consequence4Result(False, first).witness_text()}"
+            ib_witness = f"{text} is not exactly 1 at {result.witness_text()}"
             break
     rows.append(
         RuleCheck("IB", "every bundled theorem evaluates to exactly 1", ib_passed, ib_witness)

@@ -293,6 +293,40 @@ def test_proof_cites_must_be_a_list_of_integers(capsys, tmp_path):
     assert err.startswith("error: ") and "cites must be a list of integers" in err
 
 
+@pytest.mark.parametrize("step, message", [
+    ({"premises": "pq", "conclusion": "p", "rule": "Premise"}, "step 0: premises must be a list"),
+    ({"premises": ["p"], "conclusion": "p", "rule": "Premise",
+      "params": {"lambda": "pq", "gamma": [], "phi": "p"}}, "step 0: lambda must be a list"),
+    ({"premises": ["p"], "conclusion": "p", "rule": "Premise",
+      "params": {"lambda": [], "gamma": "pq", "phi": "p"}}, "step 0: gamma must be a list"),
+])
+def test_proof_formula_lists_must_be_arrays(capsys, tmp_path, step, message):
+    """A string is not read as the list of its characters: premises "pq"
+    would make `p, q |- p` an accepted premise step."""
+    code, out, err = run(capsys, "checkproof", "--proof", _document(tmp_path, {"steps": [step]}))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"worlds": "wu", "lattices": {"w": "A", "u": "B"}, "edges": []}, "worlds must be a list"),
+    ({"worlds": ["w", "u"], "lattices": {"w": "A", "u": "B"}, "edges": "wu"},
+     "edges must be a list"),
+    ({"worlds": ["w", "u"], "lattices": {"w": "A", "u": "B"}, "edges": ["wu"]},
+     "each edge must be a list"),
+    ({"worlds": ["w"], "lattices": ["wA"], "edges": []}, "lattices must map worlds to labels"),
+])
+def test_frame_lists_must_be_arrays(capsys, tmp_path, doc, message):
+    """A string is not read as the list of its characters: edges ["wu"]
+    would be the edge w -> u, and worlds "wu" two worlds."""
+    path = _document(tmp_path, doc)
+    for argv in (("valid", "--frame", path, "--formula", "p"),
+                 ("eval", "--model", path, "--world", "w", "--formula", "T")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+
 def test_proof_params_must_be_an_object(capsys, tmp_path):
     path = _document(tmp_path, {"steps": [{"premises": ["p"], "conclusion": "p",
                                            "rule": "Premise", "params": "x"}]})

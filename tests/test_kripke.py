@@ -1,6 +1,8 @@
 """Model evaluation, frame validity, countermodel search, and agreement of
 the packed sweep engine with the definitional evaluator."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +29,9 @@ from mlml.kripke import (
     model_valid,
     satisfies,
 )
-from mlml.syntax import Ball, Box, Diamond, Var, generate_corpus, parse
+from mlml.syntax import Ball, Box, Diamond, Var, generate_corpus, parse, variables
+
+from test_sweep import _formulas, frames
 
 P = Var("p")
 
@@ -188,6 +192,34 @@ def test_frame_valid_examples():
     counter = find_frame_countermodel(isolated, parse("[]p -> p"))
     assert counter is not None
     assert counter.valuation[("w", "p")] == BOT
+
+
+def _brute_frame_countermodel(frame, premises, goal, u):
+    """The first valuation, slots (world, variable) in frame order and sorted
+    variable order, each ranging over its world's carrier in ascending order,
+    whose model satisfies every premise at every world and fails the goal
+    at some world, by eval_formula."""
+    names = sorted(set(variables(goal)).union(*map(variables, premises)))
+    slots = [(w, name) for w in frame.worlds for name in names]
+    for values in product(*(sorted(carrier(frame.lattice_of[w])) for w, _ in slots)):
+        model = Model(frame, dict(zip(slots, values)), u)
+
+        def everywhere(f):
+            return all(algebra.is_designated(eval_formula(model, w, f), u) for w in frame.worlds)
+
+        if all(map(everywhere, premises)) and not everywhere(goal):
+            return model
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames().filter(lambda frame: len(frame.worlds) <= 2), st.lists(_formulas(3), max_size=2),
+       _formulas(3), st.sampled_from(ULTRAFILTERS))
+def test_find_frame_countermodel_with_premises_matches_brute_force(frame, premises, goal, u):
+    expected = _brute_frame_countermodel(frame, premises, goal, u)
+    assert find_frame_countermodel(frame, goal, u, premises=premises) == expected
+    if not premises:
+        assert frame_valid(frame, goal, u) == (expected is None)
 
 
 def test_k_axiom_valid_on_all_two_world_frames():
