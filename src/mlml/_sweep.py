@@ -21,10 +21,13 @@ indices of earlier instructions (diamond compiles to not-box-not).  A sweep
 interns the instructions it runs by (op, ids of the argument results), all
 small ints, so a subformula shared by several formulas is computed once per
 sweep, and the repeat evaluation of the last program, as for the next
-ultrafilter, returns at once.  Callers that evaluate one formula on many
-frames compile it once and pass the program.  A variable's vector depends
-only on the slot count, its slot and the world's carrier, so the vectors come
-from a small fixed-size cache shared by every sweep.
+ultrafilter, returns at once.  `apply` runs one opcode on per-world value
+lists; `values` passes it the interned results, and the indiscernibility
+battery passes it the values of its semantic classes, so both run the same
+operators.  Callers that evaluate one formula on many frames compile it
+once and pass the program.  A variable's vector depends only on the slot
+count, its slot and the world's carrier, so the vectors come from a small
+fixed-size cache shared by every sweep.
 
 The correspondence battery and the countermodel search pack the relation
 axis as well.  A sweep over a `RelationChunk` covers one labelling of n
@@ -351,8 +354,10 @@ class FrameSweep:
             for wi, domain in enumerate(self._domains)
         ]
 
-    def _apply(self, op: int, a, b: int) -> list[int]:
-        """Per-world values of one instruction whose arguments are result ids."""
+    def apply(self, op: int, a=None, b=None) -> list[int]:
+        """Per-world values of one instruction: a is the variable name for
+        VAR, else the per-world values of the operand, and b those of the
+        second operand of AND and OR."""
         full = self._full
         if op == VAR:
             return self._variable(a)
@@ -360,20 +365,19 @@ class FrameSweep:
             return [full] * len(self.worlds)
         if op == BOT_OP:
             return [0] * len(self.worlds)
-        sub = self._results[a]
         if op == NOT:
-            return [v ^ full for v in sub]
+            return [v ^ full for v in a]
         if op == AND:
-            return [x & y for x, y in zip(sub, self._results[b])]
+            return [x & y for x, y in zip(a, b)]
         if op == OR:
-            return [x | y for x, y in zip(sub, self._results[b])]
+            return [x | y for x, y in zip(a, b)]
         if op == BALL:
-            return [self._ball(v) for v in sub]
+            return [self._ball(v) for v in a]
         if op == BOX:
-            return self._box(sub, self._same, self._diff)
+            return self._box(a, self._same, self._diff)
         if op == BOX_SAME:
-            return self._box(sub, self._same, self._no_succ)
-        return self._box(sub, self._no_succ, self._diff)
+            return self._box(a, self._same, self._no_succ)
+        return self._box(a, self._no_succ, self._diff)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -396,7 +400,8 @@ class FrameSweep:
             key = (op, a, b)
             rid = ids.get(key)
             if rid is None:
-                results.append(self._apply(op, a, b))
+                results.append(self.apply(op, results[a] if op >= NOT else a,
+                                          results[b] if op >= AND else None))
                 rid = ids[key] = len(results) - 1
             at.append(rid)
         out = results[at[-1]]
@@ -419,9 +424,13 @@ class FrameSweep:
     def valid_mask(self, f: Union[Formula, Program], u: Ultrafilter) -> int:
         """Group-aligned mask whose bit 3*i is set iff valuation i makes f
         hold at every world."""
+        return self.valid_mask_of(self.values(f), u)
+
+    def valid_mask_of(self, values: Sequence[int], u: Ultrafilter) -> int:
+        """valid_mask of per-world values, as `values` or `apply` give them."""
         bit = _GENERATOR_BIT[u.generator]
         mask = self._ones
-        for v in self.values(f):
+        for v in values:
             mask &= v >> bit
         return mask
 

@@ -114,14 +114,13 @@ def _cmd_eval(args) -> int:
 def _cmd_valid(args) -> int:
     frame = _load_frame(args.frame)
     formula = _parse_formula(args.formula)
-    for u in _ultrafilters(args):
-        counter = kripke.find_frame_countermodel(
-            frame, formula, u, max_valuations=args.max_valuations
-        )
-        if counter is not None:
-            print(f"invalid under ultrafilter {u.name}; countermodel:")
-            print(json.dumps(kripke.model_to_dict(counter), indent=2))
-            return EXIT_NEGATIVE
+    counter = kripke.find_frame_countermodel(
+        frame, formula, _ultrafilters(args), max_valuations=args.max_valuations
+    )
+    if counter is not None:
+        print(f"invalid under ultrafilter {counter.ultrafilter.name}; countermodel:")
+        print(json.dumps(kripke.model_to_dict(counter), indent=2))
+        return EXIT_NEGATIVE
     print("valid")
     return EXIT_OK
 
@@ -240,7 +239,8 @@ def _cmd_checkproof(args) -> int:
         return EXIT_NEGATIVE
     print(f"accepted: {derivation.final_judgment()}")
     if args.crosscheck:
-        report = proofs.semantic_crosscheck(derivation, args.crosscheck_worlds)
+        report = proofs.semantic_crosscheck(derivation, args.crosscheck_worlds,
+                                            args.max_valuations, args.max_frames)
         if not report.sound:
             print("SOUNDNESS ALARM: countermodel to the final judgment:")
             print(json.dumps(kripke.model_to_dict(report.countermodel), indent=2))
@@ -339,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crosscheck", action="store_true",
                    help="also search for countermodels to the final judgment")
     p.add_argument("--crosscheck-worlds", type=int, default=2)
+    _add_cap_flags(p)
     p.set_defaults(func=_cmd_checkproof)
 
     return parser

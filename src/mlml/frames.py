@@ -1,7 +1,7 @@
 """Frame properties, exhaustive frame enumeration, the correspondence
 harness that tests "valid on F iff F has property P" over all small frames,
-and the countermodel search's one scan of relation chunks over weighted
-labellings.
+the countermodel search's one scan of relation chunks over weighted
+labellings, and the indiscernibility battery over semantic classes.
 
 Frames on n labeled worlds are enumerated canonically: relations as n*n-bit
 masks (bit i*n+j set meaning world i reaches world j) in increasing numeric
@@ -36,7 +36,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import kripke, syntax
 from .algebra import ULTRAFILTERS, Ultrafilter
 from ._sweep import (
+    AND,
+    BALL,
+    BOX,
     DEFAULT_MAX_VALUATIONS,
+    NOT,
+    VAR,
     FrameSweep,
     RelationChunk,
     ResourceBudgetExceeded,
@@ -767,6 +772,11 @@ class IndiscernibilityReport:
         return not self.disagreements
 
 
+# Semantic classes kept before `indiscern` gives up with exit 3: depth 7 has
+# 2,833, about 86 KB each on the two 7-world fixtures; depth 8 has 8,130.
+MAX_SEMANTIC_CLASSES = 4096
+
+
 def indiscernibility_check(
     corpus_depth: int = 3,
     ultrafilters: str | Ultrafilter | Iterable[Ultrafilter] = "all",
@@ -776,23 +786,98 @@ def indiscernibility_check(
     one-variable corpus; agreement on all of it shows no such formula can
     tell super-out-of-the-bubble apart from its failure."""
     named = fixtures()
-    frame_a, frame_b = named["soob_F"], named["soob_Fprime"]
     selected = _resolve_ultrafilters(ultrafilters)
-    corpus = syntax.generate_corpus(["p"], corpus_depth)
-    sweep_a = FrameSweep(frame_a, ("p",), max_valuations=max_valuations)
-    sweep_b = FrameSweep(frame_b, ("p",), max_valuations=max_valuations)
-    report = IndiscernibilityReport(
+    return IndiscernibilityReport(
         corpus_depth=corpus_depth,
-        formulas_checked=len(corpus),
+        formulas_checked=syntax.corpus_size(1, corpus_depth),
         ultrafilters=tuple(u.name for u in selected),
+        disagreements=_disagreements(named["soob_F"], named["soob_Fprime"], corpus_depth,
+                                     selected, max_valuations),
     )
-    for f in corpus:
+
+
+def _disagreements(
+    frame_a: Frame,
+    frame_b: Frame,
+    corpus_depth: int,
+    selected: tuple[Ultrafilter, ...],
+    max_valuations: int | None,
+) -> list[tuple[str, str, bool, bool]]:
+    """The corpus formulas, with the ultrafilter, valid on one frame but not
+    the other, in corpus order.  The classes decide whether there are any;
+    only then is every formula checked."""
+    sweeps = [FrameSweep(frame, ("p",), max_valuations=max_valuations)
+              for frame in (frame_a, frame_b)]
+    if not _classes_split(sweeps, corpus_depth, selected):
+        return []
+    return _formula_disagreements(sweeps, corpus_depth, selected)
+
+
+def _semantic_classes(
+    sweeps: Sequence[FrameSweep], depth: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Each semantic class of the one-variable corpus up to `depth`
+    connectives once, at the least depth that has it: per sweep, the
+    per-world values its formulas share.
+
+    Formulas of one class can replace each other as subformulas, so level d
+    applies ~, @ and [] to the classes new at level d-1 and & to those new
+    at levels i and d-1-i, and keeps what is not yet seen.
+    """
+    def candidates(d: int) -> Iterator[list[list[int]]]:
+        for x in levels[d - 1]:
+            for op in (NOT, BALL, BOX):
+                yield [sweep.apply(op, v) for sweep, v in zip(sweeps, x)]
+        for i in range(d):
+            for x in levels[i]:
+                for y in levels[d - 1 - i]:
+                    yield [sweep.apply(AND, v, w) for sweep, v, w in zip(sweeps, x, y)]
+
+    p = tuple(tuple(sweep.apply(VAR, "p")) for sweep in sweeps)
+    seen = {p}
+    levels = [[p]]
+    yield p
+    for d in range(1, depth + 1):
+        new = []
+        for values in candidates(d):
+            c = tuple(map(tuple, values))
+            if c in seen:
+                continue
+            if len(seen) == MAX_SEMANTIC_CLASSES:
+                raise ResourceBudgetExceeded(
+                    f"more than {MAX_SEMANTIC_CLASSES} semantic classes at corpus depth {d}"
+                )
+            seen.add(c)
+            new.append(c)
+            yield c
+        levels.append(new)
+
+
+def _classes_split(
+    sweeps: Sequence[FrameSweep], depth: int, selected: tuple[Ultrafilter, ...]
+) -> bool:
+    """Whether some class is valid on one sweep's frame but not the other's
+    under a selected ultrafilter."""
+    for values in _semantic_classes(sweeps, depth):
+        for u in selected:
+            verdicts = {sweep.valid_mask_of(v, u) == sweep.ones_mask
+                        for sweep, v in zip(sweeps, values)}
+            if len(verdicts) > 1:
+                return True
+    return False
+
+
+def _formula_disagreements(
+    sweeps: Sequence[FrameSweep], corpus_depth: int, selected: tuple[Ultrafilter, ...]
+) -> list[tuple[str, str, bool, bool]]:
+    """_disagreements by checking every corpus formula on both sweeps."""
+    sweep_a, sweep_b = sweeps
+    rows = []
+    for f in syntax.generate_corpus(["p"], corpus_depth):
         program = compile_formula(f)
         for u in selected:
             valid_a = sweep_a.is_frame_valid(program, u)
             valid_b = sweep_b.is_frame_valid(program, u)
             if valid_a != valid_b:
-                report.disagreements.append(
-                    (syntax.format_formula(f), u.name, valid_a, valid_b)
-                )
-    return report
+                rows.append((syntax.format_formula(f), u.name, valid_a, valid_b))
+    return rows

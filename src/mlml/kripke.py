@@ -235,25 +235,28 @@ def model_valid(model: Model, f: Formula) -> bool:
 def find_frame_countermodel(
     frame: Frame,
     f: Formula,
-    ultrafilter: Ultrafilter = DEFAULT_ULTRAFILTER,
+    ultrafilter: str | Ultrafilter | Iterable[Ultrafilter] = DEFAULT_ULTRAFILTER,
     max_valuations: int | None = DEFAULT_MAX_VALUATIONS,
     premises: Iterable[Formula] = (),
 ) -> Model | None:
     """The canonically first model on the frame satisfying every premise
     everywhere and falsifying f somewhere, or None; with no premises, None
-    when f is valid on the frame.
+    when f is valid on the frame.  Given several ultrafilters, or "all",
+    the first model under the first of them that has one.
 
     Every variable independently ranges over each world's four carrier
-    values, so the sweep covers 4 ** (worlds * variables) models.
+    values, so the sweep covers 4 ** (worlds * variables) models.  The
+    values do not depend on the ultrafilter, so one sweep serves them all.
     """
     premises = tuple(premises)
     names = sorted(set(syntax.variables(f)).union(*map(syntax.variables, premises)))
     sweep = FrameSweep(frame, names, max_valuations=max_valuations)
-    index = sweep.countermodel_index(premises, f, ultrafilter)
-    if index is None:
-        return None
-    return _checked_countermodel(Model(frame, sweep.decode_valuation(index), ultrafilter),
-                                 premises, f)
+    for u in _resolve_ultrafilters(ultrafilter):
+        index = sweep.countermodel_index(premises, f, u)
+        if index is not None:
+            return _checked_countermodel(Model(frame, sweep.decode_valuation(index), u),
+                                         premises, f)
+    return None
 
 
 def _checked_countermodel(model: Model, premises: tuple[Formula, ...], goal: Formula) -> Model:
@@ -421,12 +424,19 @@ def _valuation_doc(valuation: Mapping[tuple[str, str], int], ultrafilter: Ultraf
 
 def model_from_dict(doc: Mapping) -> Model:
     frame = frame_from_dict(doc)
-    u = Ultrafilter.from_name(doc.get("ultrafilter", "e1"))
+    name, names = doc.get("ultrafilter", "e1"), [u.name for u in ULTRAFILTERS]
+    if name not in names:
+        raise ValueError(f"bad model document: ultrafilter must be one of {'/'.join(names)}")
+    u = Ultrafilter.from_name(name)
     valuation: dict[tuple[str, str], int] = {}
     by_world = doc.get("valuation", {})
     if not isinstance(by_world, Mapping):
         raise ValueError("bad model document: valuation must map worlds to objects")
     for world, assignments in by_world.items():
+        if world not in frame.lattice_of:
+            raise ValueError(
+                f"bad model document: valuation of {world!r}: the world is not in the frame"
+            )
         if not isinstance(assignments, Mapping):
             raise ValueError(
                 f"bad model document: valuation of {world!r} must map variables to element names"

@@ -446,11 +446,12 @@ def semantic_crosscheck(
     derivation: Derivation,
     max_worlds: int = 2,
     max_valuations: int | None = DEFAULT_MAX_VALUATIONS,
+    max_frames: int | None = None,
 ) -> CrosscheckReport:
     """Search for a model refuting the final judgment of an accepted
     derivation.  Finding one is a soundness alarm: either the checker, the
     semantics, or the calculus itself is at fault, and the caller must not
-    ignore it.
+    ignore it.  The caps are `countermodel_search`'s.
     """
     result = check(derivation)
     if not result.accepted:
@@ -462,6 +463,7 @@ def semantic_crosscheck(
         max_worlds,
         "all",
         max_valuations=max_valuations,
+        max_frames=max_frames,
     )
     return CrosscheckReport(goal, max_worlds, counter)
 

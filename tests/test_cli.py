@@ -388,3 +388,50 @@ def test_printing_stops_at_the_format_length_cap(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "38f5980a0abffa929df41f70d0d5137520d98ba098b21520d88add821303d80b"
     )
+
+
+def test_valid_under_every_ultrafilter_sweeps_the_frame_once(capsys, monkeypatch):
+    from mlml import kripke
+
+    built = []
+    sweep = kripke.FrameSweep
+    monkeypatch.setattr(kripke, "FrameSweep",
+                        lambda *args, **kwargs: built.append(args) or sweep(*args, **kwargs))
+    code, out, _ = run(capsys, "valid", "--frame", "fixture:euc3",
+                       "--formula", "<>@p -> []<>@p", "--all-ultrafilters")
+    assert (code, out, len(built)) == (0, "valid\n", 1)
+    code, out, _ = run(capsys, "valid", "--frame", "fixture:euc3",
+                       "--formula", "<>p -> []<>p", "--all-ultrafilters")
+    assert code == 1 and out.startswith("invalid under ultrafilter e1; countermodel:\n")
+    assert len(built) == 2
+
+
+def test_crosscheck_past_the_frame_cap_exits_3(capsys, tmp_path):
+    doc = derivation_to_dict(dict(load_bundled_corpus())["affirming_with_ball"])
+    path = _document(tmp_path, doc)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "checkproof", "--proof", path, "--crosscheck",
+                         "--crosscheck-worlds", "4", "--max-frames", "1000")
+    assert time.perf_counter() - start < 10
+    assert code == 3 and out == "accepted: @p, p |- @(p | q)\n"
+    assert "frame budget of 1000 exhausted" in err
+    code, _, err = run(capsys, "checkproof", "--proof", path, "--crosscheck",
+                       "--max-valuations", "16")
+    assert code == 3 and "exceed the cap of 16" in err
+
+
+def test_model_valuation_of_a_world_outside_the_frame(capsys, tmp_path):
+    path = _document(tmp_path, {"worlds": ["w"], "lattices": {"w": "A"}, "edges": [],
+                                "valuation": {"w": {"p": "1"}, "z": {"p": "1"}}})
+    code, out, err = run(capsys, "eval", "--model", path, "--world", "w", "--formula", "p")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "valuation of 'z': the world is not in the frame" in err
+
+
+@pytest.mark.parametrize("ultrafilter", [5, ["e1"], "a"])
+def test_model_ultrafilter_must_name_an_atom(capsys, tmp_path, ultrafilter):
+    path = _document(tmp_path, {"worlds": ["w"], "lattices": {"w": "A"}, "edges": [],
+                                "ultrafilter": ultrafilter, "valuation": {"w": {"p": "1"}}})
+    code, out, err = run(capsys, "eval", "--model", path, "--world", "w", "--formula", "p")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "ultrafilter must be one of e1/e2/e3" in err

@@ -515,3 +515,123 @@ def test_correspond_rechecks_the_violation(monkeypatch):
     monkeypatch.setattr(ClauseViolation, "__call__", lambda self, frame: ("w9",))
     with pytest.raises(AssertionError, match="sweep and definitional evaluator disagree"):
         correspondence_check("symmetric", "<>p -> []p", 2)
+
+
+# ---------------------------------------------------------------------------
+# Indiscernibility over semantic classes
+# ---------------------------------------------------------------------------
+
+
+def _fixture_sweeps():
+    from mlml._sweep import FrameSweep
+
+    named = fixtures()
+    return [FrameSweep(named[name], ("p",)) for name in ("soob_F", "soob_Fprime")]
+
+
+def _selections():
+    from mlml.algebra import ULTRAFILTERS
+
+    return [ULTRAFILTERS] + [(u,) for u in ULTRAFILTERS]
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_class_path_matches_the_formula_loop_on_the_fixtures(depth):
+    from mlml import frames
+    from mlml.syntax import generate_corpus
+
+    sweeps = _fixture_sweeps()
+    for selected in _selections():
+        report = indiscernibility_check(depth, selected)
+        assert report.disagreements == frames._formula_disagreements(sweeps, depth, selected)
+        assert report.formulas_checked == len(generate_corpus(["p"], depth))
+        assert report.ultrafilters == tuple(u.name for u in selected)
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_semantic_classes_are_the_distinct_values_of_the_corpus(depth):
+    from mlml import frames
+    from mlml.syntax import connective_count, generate_corpus
+
+    sweeps = _fixture_sweeps()
+    least_depth = {}
+    for f in generate_corpus(["p"], depth):  # ordered by connective count
+        values = tuple(tuple(sweep.values(f)) for sweep in sweeps)
+        least_depth.setdefault(values, connective_count(f))
+    classes = list(frames._semantic_classes(sweeps, depth))
+    assert len(set(classes)) == len(classes) == len(least_depth)
+    assert [least_depth[c] for c in classes] == sorted(least_depth.values())
+
+
+def test_semantic_class_counts_to_depth_five():
+    from mlml import frames
+
+    classes = frames._semantic_classes(_fixture_sweeps(), 5)
+    assert sum(1 for _ in classes) == 1 + 3 + 10 + 25 + 76 + 223
+
+
+def test_the_class_path_generates_no_corpus(monkeypatch):
+    from mlml import syntax
+
+    def refuse(*args):
+        raise AssertionError("corpus generated")
+
+    monkeypatch.setattr(syntax, "generate_corpus", refuse)
+    report = indiscernibility_check(4)
+    assert report.agree and report.formulas_checked == 881
+
+
+def test_a_split_falls_back_to_the_formula_rows():
+    from mlml import frames
+    from mlml._sweep import FrameSweep
+
+    reflexive = Frame(("w",), frozenset({("w", "w")}), {"w": "A"})
+    irreflexive = Frame(("w",), frozenset(), {"w": "A"})
+    sweeps = [FrameSweep(frame, ("p",)) for frame in (reflexive, irreflexive)]
+    for depth in range(5):
+        for selected in _selections():
+            rows = frames._disagreements(reflexive, irreflexive, depth, selected, None)
+            assert rows == frames._formula_disagreements(sweeps, depth, selected)
+            assert bool(rows) == (depth > 0)
+            if depth == 4:  # []p -> p, written in the corpus connectives
+                assert ("~([]p & ~p)", selected[0].name, True, False) in rows
+
+
+# sha256 of `indiscern --corpus-depth d` stdout, without and with --csv,
+# as the formula loop printed it.
+INDISCERN_SHA256 = {
+    0: ("f2192593be2b1bb53384fab9c1891b4ce9217755aca51fcb86119a5af3146f12",
+        "85feb2c2969747d4bc85b8ec041c04def370be01bb622456e98526f69c7d510a"),
+    1: ("0083e6c5036b2326d49e5b45264889f9746726efdb62d6fdca9b20b7d9694093",
+        "620b732929dc57c14a8a14365821ac448603633dfc874e759d5a2cc1f6824f55"),
+    2: ("676530d1a3bee9391c3fe75a8ff32afe64230d08ac61d45509b92c47ff87a25e",
+        "7e9ae1cf2267c40bac8ffa5c1a62a9fe5765053c2f5f015f96d1c6618c64a032"),
+    3: ("7da858df39122f0458d2cfd42d8997caa11df18844d4d3129b3fc1003945f2e1",
+        "c5388226f30133553115e9ee5abfc2fe708b9d0f36a93c52df9349a1a1be9f61"),
+    4: ("9d92091d52fc5b14682be744522338af639865fa34af21c3b06c9c1783e1ac7f",
+        "ef5772a23ac9401f4b4db4277d74115ef2a64f0e8a486948db3901ff00e737c0"),
+}
+
+
+@pytest.mark.parametrize("depth", sorted(INDISCERN_SHA256))
+def test_indiscern_stdout_matches_the_formula_loop(capsys, depth):
+    import hashlib
+
+    from mlml.cli import main
+
+    for flags, digest in zip(([], ["--csv"]), INDISCERN_SHA256[depth]):
+        assert main(["indiscern", "--corpus-depth", str(depth), *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_indiscern_past_the_class_cap_exits_3(capsys, monkeypatch):
+    from mlml import frames
+    from mlml.cli import main
+
+    monkeypatch.setattr(frames, "MAX_SEMANTIC_CLASSES", 14)  # 1 + 3 + 10 up to depth 2
+    assert main(["indiscern", "--corpus-depth", "2"]) == 0
+    assert main(["indiscern", "--corpus-depth", "3"]) == 3
+    captured = capsys.readouterr()
+    assert "more than 14 semantic classes at corpus depth 3" in captured.err
+    assert captured.out.count("\n") == 1
