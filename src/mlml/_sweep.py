@@ -31,14 +31,16 @@ fixed-size cache shared by every sweep.
 
 The correspondence battery and the countermodel search pack the relation
 axis as well.  A sweep over a `RelationChunk` covers one labelling of n
-worlds and a power-of-two-aligned range of R relation bitmasks,
-relation-major: relation r's N valuations occupy groups [r*N, (r+1)*N) of
-every operand.  A single `Frame` is swept as the one-relation chunk of its
-own bitmask, `relation_bits`.  `edge_masks` gives each edge w->u as the mask
-of the relations that have it, and box joins the successor's
-down-interpreted value with the all-ones block of every relation lacking
-the edge before the meet.  For an edge that every relation has, as each
-edge of a single frame, that block is empty; an edge none has is left out.
+worlds and R relation bitmasks, R a power of two: a power-of-two-aligned
+range, or a sorted tuple such as the search's canonical relations of an
+orbit representative (see _orbits).  The layout is relation-major:
+relation r's N valuations occupy groups [r*N, (r+1)*N) of every operand.
+A single `Frame` is swept as the one-relation chunk of its own bitmask,
+`relation_bits`.  `edge_masks` gives each edge w->u as the mask of the
+relations that have it, and box joins the successor's down-interpreted
+value with the all-ones block of every relation lacking the edge before the
+meet.  For an edge that every relation has, as each edge of a single frame,
+that block is empty; an edge none has is left out.
 `relation_chunk_width` keeps R*N at most 2**16 groups.
 
 The definitional single-model evaluator lives in kripke.py; the test suite
@@ -214,12 +216,33 @@ def relation_bit_pattern(bit: int, unit_bits: int, count: int) -> int:
     return value
 
 
-def edge_masks(relations: range, edges: int, unit_bits: int) -> list[int]:
+def _unit_blocks(column: str, unit_bits: int) -> int:
+    """Units of `unit_bits` bits each, unit k all ones iff column[k] is "1":
+    one all-ones block per run of ones."""
+    blocks = 0
+    start = column.find("1")
+    while start >= 0:
+        stop = column.find("0", start)
+        if stop < 0:
+            stop = len(column)
+        blocks |= ((1 << (unit_bits * (stop - start))) - 1) << (unit_bits * start)
+        start = column.find("1", stop)
+    return blocks
+
+
+def edge_masks(relations: range | tuple[int, ...], edges: int, unit_bits: int) -> list[int]:
     """Per edge bit below `edges`: the units, `unit_bits` bits each, of the
-    relations in the aligned range that have that edge, unit r for
-    relations[r]."""
+    chunk's relations that have that edge, unit r for relations[r].  An
+    aligned range reads them off fixed bit patterns; a tuple builds them
+    from the runs of its relations that have the edge."""
     count = len(relations)
     every = (1 << (unit_bits * count)) - 1
+    if isinstance(relations, tuple):
+        # Character b of a relation's row is its edge bit b.
+        rows = [format(bits, f"0{edges}b")[::-1] for bits in relations]
+        columns = ("".join(column) for column in zip(*rows))
+        return [every if "0" not in column else _unit_blocks(column, unit_bits)
+                for column in columns]
     return [
         relation_bit_pattern(bit, unit_bits, count) if 1 << bit < count
         else every if relations.start >> bit & 1 else 0
@@ -237,18 +260,22 @@ def relation_bits(frame: "Frame") -> int:
 
 @dataclass(frozen=True)
 class RelationChunk:
-    """Every frame on the labelled worlds whose relation bitmask lies in
-    `relations`: 2**k consecutive masks starting at a multiple of 2**k.  Bit
-    i*n+j of a mask means world i reaches world j."""
+    """Every frame on the labelled worlds whose relation bitmask is in
+    `relations`: either 2**k consecutive masks starting at a multiple of
+    2**k, or a tuple of 2**k masks in ascending order, where a repeated mask
+    is swept once more.  Bit i*n+j of a mask means world i reaches world j."""
 
     worlds: tuple[str, ...]
     labels: tuple[str, ...]
-    relations: range
+    relations: range | tuple[int, ...]
 
     def __post_init__(self) -> None:
-        count, start = len(self.relations), self.relations.start
-        if not count or count & (count - 1) or start % count or self.relations.step != 1:
-            raise ValueError(f"{self.relations!r} is not an aligned power-of-two range")
+        relations, count = self.relations, len(self.relations)
+        if isinstance(relations, tuple):
+            if not count or count & (count - 1) or list(relations) != sorted(relations):
+                raise ValueError(f"{relations!r} is not a sorted tuple of power-of-two length")
+        elif not count or count & (count - 1) or relations.start % count or relations.step != 1:
+            raise ValueError(f"{relations!r} is not an aligned power-of-two range")
 
 
 # ---------------------------------------------------------------------------

@@ -353,10 +353,17 @@ def _validate_caps(args) -> None:
             raise CliError(f"--{name.replace('_', '-')} must be positive")
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # Built on the first call, not at import, and reused: parse_args leaves
+    # the parser as it was.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -1,7 +1,7 @@
 """Frame properties, exhaustive frame enumeration, the correspondence
 harness that tests "valid on F iff F has property P" over all small frames,
 the countermodel search's one scan of relation chunks over weighted
-labellings, and the indiscernibility battery over semantic classes.
+frames, and the indiscernibility battery over semantic classes.
 
 Frames on n labeled worlds are enumerated canonically: relations as n*n-bit
 masks (bit i*n+j set meaning world i reaches world j) in increasing numeric
@@ -30,10 +30,11 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import kripke, syntax
+from ._orbits import _labelling_orbits, canonical_relations, least_frames
 from .algebra import ULTRAFILTERS, Ultrafilter
 from ._sweep import (
     AND,
@@ -223,11 +224,12 @@ class FrameProperty:
         return _first_violation(clauses, worlds, labels, bits)
 
     def relation_mask(
-        self, worlds: tuple[str, ...], labels: tuple[str, ...], relations: range
+        self, worlds: tuple[str, ...], labels: tuple[str, ...],
+        relations: range | tuple[int, ...],
     ) -> int:
         """Bit r set iff the frame on the labelled worlds whose relation
-        bitmask is relations[r] has the property; `relations` is aligned as
-        for a RelationChunk."""
+        bitmask is relations[r] has the property; `relations` is an aligned
+        range or a sorted tuple, as for a RelationChunk."""
         every = (1 << len(relations)) - 1
         clauses = getattr(self.violation, "clauses", None)
         if clauses is None:
@@ -307,39 +309,22 @@ def frame_encoding(frame: Frame) -> str:
     return f"{len(frame.worlds)}:{relation_bits(frame)}:{labels}"
 
 
-def _canonical_key(n: int, bits: int, labels: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
-    """Least (bits, labels) over simultaneous world permutations."""
-    best: tuple[int, tuple[str, ...]] | None = None
-    for perm in permutations(range(n)):
-        permuted_bits = 0
-        for i in range(n):
-            for j in range(n):
-                if bits >> (i * n + j) & 1:
-                    permuted_bits |= 1 << (perm[i] * n + perm[j])
-        permuted_labels = [""] * n
-        for i in range(n):
-            permuted_labels[perm[i]] = labels[i]
-        key = (permuted_bits, tuple(permuted_labels))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
-
-
 def enumerate_frames(n: int, reduce_isomorphism: bool = False) -> Iterator[Frame]:
     """All frames on n labeled worlds in canonical order.
 
     With reduce_isomorphism=True only the least representative of each orbit
-    under world permutations is produced.
+    under world permutations is produced (see _orbits.least_frames).
     """
     if n < 1:
         raise ValueError("world count must be >= 1")
     worlds = _world_names(n)
+    if reduce_isomorphism:
+        for bits, labels in least_frames(n):
+            yield Frame(worlds, _relation_from_bits(worlds, bits), dict(zip(worlds, labels)))
+        return
     for bits in range(1 << (n * n)):
         relation = _relation_from_bits(worlds, bits)
         for labels in product("ABC", repeat=n):
-            if reduce_isomorphism and _canonical_key(n, bits, labels) != (bits, labels):
-                continue
             yield Frame(worlds, relation, dict(zip(worlds, labels)))
 
 
@@ -583,8 +568,16 @@ def correspondence_check(
     for checked, rows in results:
         report.frames_checked += checked
         report.rows.extend(rows)
-    # The frame encoding sorts as a string: "2:10:AB" before "2:1:AB".
-    report.rows.sort(key=lambda row: (row[0], f"{row[0]}:{row[1]}:{row[2]}", row[3].name))
+    # The frame encoding sorts as a string, "2:10:AB" before "2:1:AB": by
+    # world count, then str(bits) + ":", then labels.  Each row sorts on one
+    # int: the rank of its world count and bits in that order, then of its
+    # labels, then the ultrafilter.
+    rows = report.rows
+    relations = sorted({(row[0], row[1]) for row in rows}, key=lambda nb: (nb[0], f"{nb[1]}:"))
+    relation_rank = {nb: i for i, nb in enumerate(relations)}
+    label_rank = {text: i for i, text in enumerate(sorted({row[2] for row in rows}))}
+    rows.sort(key=lambda row: (relation_rank[row[0], row[1]] * len(label_rank)
+                               + label_rank[row[2]]) * 3 + ULTRAFILTERS.index(row[3]))
     _recheck(report, prop, formula)
     return report
 
@@ -594,23 +587,9 @@ def correspondence_check(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _labelling_orbits(
-    n: int, ultrafilter_names: tuple[str, ...]
-) -> tuple[tuple[tuple[str, ...], int], ...]:
-    """The labellings on n worlds up to renaming the worlds and permuting the
-    atoms e1, e2, e3 so that the named ultrafilters go to each other: the
-    least labelling of each orbit and the orbit's size, in labelling order.
-    Atom i goes with carrier "ABC"[i] and ultrafilter ULTRAFILTERS[i]."""
-    chosen = {i for i, u in enumerate(ULTRAFILTERS) if u.name in ultrafilter_names}
-    renamings = [dict(zip("ABC", ("ABC"[i] for i in perm)))
-                 for perm in permutations(range(3)) if {perm[i] for i in chosen} == chosen]
-    sizes: dict[tuple[str, ...], int] = {}
-    for labels in product("ABC", repeat=n):
-        # Sorting renames the worlds to the least arrangement.
-        least = min(tuple(sorted(r[x] for x in labels)) for r in renamings)
-        sizes[least] = sizes.get(least, 0) + 1
-    return tuple(sizes.items())
+# One sweep's worth of the search: a labelling, a relation chunk, and its
+# frame weights, each weight mapped to the units of the chunk that carry it.
+_Part = tuple[tuple[str, ...], "range | tuple[int, ...]", dict[int, int]]
 
 
 def _countermodel_scan(
@@ -623,13 +602,15 @@ def _countermodel_scan(
     max_frames: int | None,
 ) -> Model | None:
     """kripke.countermodel_search: per world count, a `scan` over every
-    labelling, each of weight 1.  Renaming the worlds and permuting the
-    atoms, with the relation, the carriers and the ultrafilters moving in
-    step, maps a countermodel to a countermodel and keeps every property in
-    PROPERTIES.  So with no filter or one of those, each world count is first
-    scanned on the orbit representatives of `_labelling_orbits`, weighted by
-    orbit size, and on every labelling only where they have a countermodel
-    or pass the budget."""
+    labelling and every relation, each frame of weight 1.  Renaming the
+    worlds and permuting the atoms, with the relation, the carriers and the
+    ultrafilters moving in step, maps a countermodel to a countermodel and
+    keeps every property in PROPERTIES.  So with no filter or one of those,
+    each world count is first scanned on the orbit representatives of
+    `_labelling_orbits` and, per representative, on the relations canonical
+    under its stabiliser (see _orbits), each weighted by the size of its
+    orbit; every labelling and relation is scanned only where they have a
+    countermodel or pass the budget."""
     if getattr(frame_filter, "__func__", None) is FrameProperty.holds:
         frame_filter = frame_filter.__self__  # a bound `holds`, as the is_* aliases are
     symmetric = frame_filter is None or frame_filter in PROPERTIES.values()
@@ -640,31 +621,33 @@ def _countermodel_scan(
     premise_programs = [compile_formula(p) for p in premises]
     goal_program = compile_formula(goal)
 
-    def scan(n: int, weighted: Sequence[tuple[tuple[str, ...], int]],
-             budget: float) -> tuple[Model | None, int]:
-        """The search on n worlds over (labelling, weight) pairs, in relation
-        chunks 1, 1, 2, 4, ... wide so that an early hit stays cheap: per
-        chunk, one sweep per labelling with a frame passing the filter, and
-        the lowest relation wins, then the labelling, the ultrafilter and
-        `lowest_index`, as frame by frame.  Returns the first countermodel,
-        or None, and the weighted count of the frames passing the filter up
-        to it.  Stops at the chunk where that count passes `budget`, and
-        sweeps nothing once the count has reached it."""
+    def scan(n: int, groups: Iterable[list[_Part]], budget: float) -> tuple[Model | None, int]:
+        """The search on n worlds over groups of parts; a unit of a part's
+        chunk with no weight is padding.  Per group, one sweep per part with
+        a frame passing the filter, and the lowest unit wins, then the part,
+        the ultrafilter and `lowest_index`: with one chunk for every part,
+        as frame by frame.  Returns the first countermodel, or None, and the
+        weighted count of the frames passing the filter up to it.  Stops at
+        the group where that count passes `budget`, and sweeps nothing once
+        the count has reached it."""
         worlds = _world_names(n)
-        width, lo, count = relation_chunk_width(n, len(var_names)), 0, 0
-        while lo < 1 << (n * n):
-            chunk = range(lo, lo + min(width, max(1, lo)))
-            lo = chunk.stop
-            below = (1 << len(chunk)) - 1  # the relations a hit must be below
-            passing = [below if frame_filter is None
-                       else frame_filter.relation_mask(worlds, labels, chunk)
-                       for labels, _ in weighted]
-            hit = None
+        count = 0
+        for group in groups:
+            passing = []
+            for labels, relations, weights in group:
+                units = 0
+                for mask in weights.values():
+                    units |= mask
+                if frame_filter is not None:
+                    units &= frame_filter.relation_mask(worlds, labels, relations)
+                passing.append(units)
+            hit, below = None, -1  # the units a hit must be below
             # With the budget reached, any frame passing the filter is over it.
             for i, allowed in enumerate(passing if count < budget else ()):
                 if not allowed & below:
                     continue
-                sweep = FrameSweep(RelationChunk(worlds, weighted[i][0], chunk), var_names,
+                labels, relations, _ = group[i]
+                sweep = FrameSweep(RelationChunk(worlds, labels, relations), var_names,
                                    max_valuations=max_valuations)
                 for u in selected:
                     if not allowed & below:
@@ -674,27 +657,65 @@ def _countermodel_scan(
                     if hits:
                         r = (hits & -hits).bit_length() - 1
                         hit, below = (r, i, u, bad, sweep), (1 << r) - 1
-            count += sum(weight * (mask & below).bit_count()
-                         for (_, weight), mask in zip(weighted, passing))
+            count += sum(weight * (units & mask & below).bit_count()
+                         for (_, _, weights), mask in zip(group, passing)
+                         for weight, units in weights.items())
             if hit is not None:
                 r, i, u, bad, sweep = hit
-                count += sum(weight * (mask >> r & 1)
-                             for (_, weight), mask in zip(weighted[:i + 1], passing))
-                frame = _frame_from_bits(worlds, weighted[i][0], chunk.start + r)
+                count += sum(weight * ((units & mask) >> r & 1)
+                             for (_, _, weights), mask in zip(group[:i + 1], passing)
+                             for weight, units in weights.items())
+                labels, relations, _ = group[i]
+                frame = _frame_from_bits(worlds, labels, relations[r])
                 return Model(frame, sweep.decode_valuation(sweep.lowest_index(bad, r)), u), count
             if count > budget:
                 break
         return None, count
 
+    def every_frame(n: int) -> Iterator[list[_Part]]:
+        """Aligned ranges 1, 1, 2, 4, ... relations wide, so that an early
+        hit stays cheap, each with every labelling."""
+        width, lo = relation_chunk_width(n, len(var_names)), 0
+        while lo < 1 << (n * n):
+            relations = range(lo, lo + min(width, max(1, lo)))
+            lo = relations.stop
+            every = {1: (1 << len(relations)) - 1}
+            yield [(labels, relations, every) for labels in product("ABC", repeat=n)]
+
+    def orbit_frames(n: int) -> Iterator[list[_Part]]:
+        """The canonical relations of every orbit representative, the next
+        1, 1, 2, 4, ... of each per group, in tuples padded to a power of
+        two with their last relation, weighted by the labelling orbit's size
+        times the relation orbit's."""
+        width, done = relation_chunk_width(n, len(var_names)), 0
+        canonical = [(labels, size, canonical_relations(n, labels, orbit_key))
+                     for labels, size in _labelling_orbits(n, orbit_key)]
+        while True:
+            step = min(width, max(1, done))
+            done += step
+            group = []
+            for labels, size, relations in canonical:
+                taken = list(islice(relations, step))
+                if taken:
+                    weights: dict[int, int] = {}
+                    for k, (_, weight) in enumerate(taken):
+                        weights[size * weight] = weights.get(size * weight, 0) | 1 << k
+                    padding = (1 << (len(taken) - 1).bit_length()) - len(taken)
+                    chunk = tuple(r for r, _ in taken) + (taken[-1][0],) * padding
+                    group.append((labels, chunk, weights))
+            if not group:
+                return
+            yield group
+
     orbit_key = tuple(sorted({u.name for u in selected}))
     limit, seen = math.inf if max_frames is None else max_frames, 0
     for n in range(1, max_worlds + 1):
         if symmetric:
-            model, count = scan(n, _labelling_orbits(n, orbit_key), limit - seen)
+            model, count = scan(n, orbit_frames(n), limit - seen)
             if model is None and seen + count <= limit:
                 seen += count
                 continue
-        model, count = scan(n, [(labels, 1) for labels in product("ABC", repeat=n)], limit - seen)
+        model, count = scan(n, every_frame(n), limit - seen)
         seen += count
         if seen > limit:
             raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")

@@ -435,3 +435,27 @@ def test_model_ultrafilter_must_name_an_atom(capsys, tmp_path, ultrafilter):
     code, out, err = run(capsys, "eval", "--model", path, "--world", "w", "--formula", "p")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "ultrafilter must be one of e1/e2/e3" in err
+
+
+def test_one_process_answers_as_fresh_processes(capsys, monkeypatch, non_normality_model_file):
+    """The parser is built on the first call and reused, also after a usage
+    error; it is not built at import."""
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ("search", "--premises", "p", "--goal", "[]p", "--max-worlds", "2"),
+        ("search", "--premises", "p", "--max-worlds", "2"),
+        ("correspond", "--property", "reflexive", "--formula", "[]p -> p", "--max-worlds", "2"),
+        ("eval", "--model", non_normality_model_file, "--world", "w", "--formula", "[]p"),
+        ("search", "--premises", "p", "--goal", "[]p", "--max-worlds", "2"),
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        done = _cli(*argv, env={"COLUMNS": "80"})
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [1, 2, 0, 0, 1]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", "import mlml.cli; print(mlml.cli._parser)"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "None\n"

@@ -4,8 +4,9 @@ Random formulas over p and q, built from all eleven constructors, are
 evaluated by `FrameSweep` on random labelled frames of up to three worlds and
 compared with `kripke.eval_formula` and `kripke.satisfies` at every world,
 for sampled valuations decoded by the sweep itself, under every ultrafilter.
-Sweeps over a chunk of relations are compared, relation by relation, with
-the one-relation chunk of each frame and with `kripke.eval_formula`.  World
+Sweeps over a chunk of relations, an aligned range or a sorted tuple, are
+compared, relation by relation, with the one-relation chunk of each frame
+and with `kripke.eval_formula`.  World
 names are drawn in shuffled order, so a frame's worlds need not be sorted.
 """
 
@@ -117,10 +118,27 @@ def relation_chunks(draw, names) -> RelationChunk:
     return RelationChunk(worlds, labels, range(start, start + width))
 
 
+@st.composite
+def relation_tuples(draw, names) -> RelationChunk:
+    """A sorted tuple of relations, repeats allowed, as the search pads its
+    canonical relations."""
+    n = draw(st.integers(1, 3))
+    worlds = tuple(draw(st.permutations([f"w{i + 1}" for i in range(n)])))
+    labels = tuple(draw(st.lists(st.sampled_from("ABC"), min_size=n, max_size=n)))
+    widest = relation_chunk_width(n, len(names)).bit_length() - 1
+    width = 1 << draw(st.integers(0, widest))
+    relations = draw(st.lists(st.integers(0, (1 << (n * n)) - 1), min_size=width,
+                              max_size=width))
+    return RelationChunk(worlds, labels, tuple(sorted(relations)))
+
+
 # Zero, one or two variables: blocks of 1 and 4 valuations take the folding
-# reduction, wider ones the byte-slicing one.
+# reduction, wider ones the byte-slicing one.  Chunks are aligned ranges or
+# sorted tuples.
 CHUNK_CASES = st.sampled_from([(), ("p",), VARS]).flatmap(
-    lambda names: st.tuples(st.just(names), relation_chunks(names), _formulas(4, names))
+    lambda names: st.tuples(st.just(names),
+                            st.one_of(relation_chunks(names), relation_tuples(names)),
+                            _formulas(4, names))
 )
 
 
