@@ -199,3 +199,11 @@ def test_relation_chunk_must_be_aligned():
     for relations in (range(2, 6), range(0, 3), range(0)):
         with pytest.raises(ValueError):
             RelationChunk(worlds, labels, relations)
+
+
+def test_relation_tuple_must_be_sorted_and_a_power_of_two():
+    worlds, labels = ("w1", "w2"), ("A", "B")
+    for relations in ((3, 1), (1, 2, 3), ()):
+        with pytest.raises(ValueError):
+            RelationChunk(worlds, labels, relations)
+    assert RelationChunk(worlds, labels, (1, 5, 5, 9)).relations == (1, 5, 5, 9)
