@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
-from ._sweep import edge_masks
+from ._sweep import edge_masks, set_bits
 from .algebra import ULTRAFILTERS
 
 # Relations per comparator chunk: wide enough to share the per-permutation
@@ -116,17 +116,6 @@ def _chunks(n: int) -> Iterator[range]:
     return (range(lo, lo + width) for lo in range(0, total, width))
 
 
-def _bit_indices(mask: int) -> list[int]:
-    """The set bits of a mask, ascending."""
-    text = format(mask, "b")[::-1]
-    found = []
-    k = text.find("1")
-    while k >= 0:
-        found.append(k)
-        k = text.find("1", k + 1)
-    return found
-
-
 def canonical_relations(
     n: int, labels: tuple[str, ...], ultrafilter_names: tuple[str, ...]
 ) -> Iterator[tuple[int, int]]:
@@ -155,7 +144,7 @@ def canonical_relations(
                 mask = canonical
                 for k, plane in enumerate(planes):
                     mask &= plane if fixed >> k & 1 else ~plane
-                found.extend((relations.start + r, order // fixed) for r in _bit_indices(mask))
+                found.extend((relations.start + r, order // fixed) for r in set_bits(mask))
         yield from sorted(found)
 
 
@@ -182,7 +171,7 @@ def least_frames(n: int) -> Iterator[tuple[int, tuple[str, ...]]]:
             least = every
             for (below, equal), keep in zip(comparisons, keeps):
                 least &= below | equal if keep else below
-            for r in _bit_indices(least):
+            for r in set_bits(least):
                 at.setdefault(r, []).append(labels)
         for r in sorted(at):
             for labels in at[r]:

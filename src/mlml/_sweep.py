@@ -216,14 +216,20 @@ def relation_bit_pattern(bit: int, unit_bits: int, count: int) -> int:
     return value
 
 
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, ascending."""
+    text = format(mask, "b")[::-1]
+    found = []
+    k = text.find("1")
+    while k >= 0:
+        found.append(k)
+        k = text.find("1", k + 1)
+    return found
+
+
 def _unit_blocks(column: str, unit_bits: int) -> int:
     """Units of `unit_bits` bits each, unit k all ones iff column[k] is "1":
-    one all-ones block per run of ones, or, for many runs of whole bytes,
-    one byte string, which then costs less."""
-    if unit_bits % 8 == 0 and column.count("01") > 3:
-        size = unit_bits // 8
-        units = column.translate({48: "\0" * size, 49: "\xff" * size})
-        return int.from_bytes(units.encode("latin-1"), "little")
+    one all-ones block per run of ones."""
     blocks = 0
     start = column.find("1")
     while start >= 0:

@@ -50,6 +50,7 @@ from ._sweep import (
     edge_masks,
     relation_bits,
     relation_chunk_width,
+    set_bits,
     valuation_at,
 )
 from .kripke import Frame, Model, _resolve_ultrafilters, _valuation_doc
@@ -169,13 +170,6 @@ def _clause_table(clauses: Callable, n: int, labels: tuple[str, ...]) -> tuple[C
     return tuple(c for c in clauses(n, labels) if not c[1] & c[2])
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True)
 class ClauseViolation:
     """The violation finder of a property given by clauses: the witness of
@@ -243,9 +237,9 @@ class FrameProperty:
         failing = 0
         for _, required, forbidden in _clause_table(clauses, n, labels):
             fails = every
-            for k in _bits(required):
+            for k in set_bits(required):
                 fails &= edges[k]
-            for k in _bits(forbidden):
+            for k in set_bits(forbidden):
                 fails &= ~edges[k]
             failing |= fails
         return every & ~failing
@@ -466,7 +460,7 @@ def _correspondence_chunk(job: tuple) -> tuple[int, list[Row]]:
             for u in selected:
                 invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
                 valid = ((1 << width) - 1) ^ sweep.relations_meeting(invalid)
-                for r in _bits(valid ^ holds):
+                for r in set_bits(valid ^ holds):
                     if holds >> r & 1:
                         witness = sweep.lowest_index(invalid, r)
                     else:
@@ -607,10 +601,11 @@ def _countermodel_scan(
     ultrafilters moving in step, maps a countermodel to a countermodel and
     keeps every property in PROPERTIES.  So with no filter or one of those,
     each world count is first scanned on the orbit representatives of
-    `_labelling_orbits` and, per representative, on the relations canonical
-    under its stabiliser (see _orbits), each weighted by the size of its
-    orbit; every labelling and relation is scanned only where they have a
-    countermodel or pass the budget."""
+    `_labelling_orbits`, each weighted by the size of its orbit, and, where
+    one sweep cannot hold all of a labelling's relations, per representative
+    on the relations canonical under its stabiliser (see _orbits), each
+    weighted by the size of its orbit too; every labelling and relation is
+    scanned only where they have a countermodel or pass the budget."""
     if getattr(frame_filter, "__func__", None) is FrameProperty.holds:
         frame_filter = frame_filter.__self__  # a bound `holds`, as the is_* aliases are
     symmetric = frame_filter is None or frame_filter in PROPERTIES.values()
@@ -672,15 +667,17 @@ def _countermodel_scan(
                 break
         return None, count
 
-    def every_frame(n: int) -> Iterator[list[_Part]]:
+    def every_relation(n: int, labellings: Iterable[tuple[tuple[str, ...], int]]
+                       ) -> Iterator[list[_Part]]:
         """Aligned ranges 1, 1, 2, 4, ... relations wide, so that an early
-        hit stays cheap, each with every labelling."""
+        hit stays cheap, each with every (labelling, weight) pair."""
+        labellings = list(labellings)
         width, lo = relation_chunk_width(n, len(var_names)), 0
         while lo < 1 << (n * n):
             relations = range(lo, lo + min(width, max(1, lo)))
             lo = relations.stop
-            every = {1: (1 << len(relations)) - 1}
-            yield [(labels, relations, every) for labels in product("ABC", repeat=n)]
+            every = (1 << len(relations)) - 1
+            yield [(labels, relations, {weight: every}) for labels, weight in labellings]
 
     def orbit_frames(n: int) -> Iterator[list[_Part]]:
         """The canonical relations of every orbit representative, the next
@@ -711,11 +708,19 @@ def _countermodel_scan(
     limit, seen = math.inf if max_frames is None else max_frames, 0
     for n in range(1, max_worlds + 1):
         if symmetric:
-            model, count = scan(n, orbit_frames(n), limit - seen)
+            # Where one sweep can hold every relation of a labelling, the
+            # ramp's sweep count is logarithmic in the relations swept, so
+            # canonical tuples save a sweep or two and cost more to build.
+            if relation_chunk_width(n, len(var_names)) == 1 << (n * n):
+                orbits = every_relation(n, _labelling_orbits(n, orbit_key))
+            else:
+                orbits = orbit_frames(n)
+            model, count = scan(n, orbits, limit - seen)
             if model is None and seen + count <= limit:
                 seen += count
                 continue
-        model, count = scan(n, every_frame(n), limit - seen)
+        labellings = ((labels, 1) for labels in product("ABC", repeat=n))
+        model, count = scan(n, every_relation(n, labellings), limit - seen)
         seen += count
         if seen > limit:
             raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")

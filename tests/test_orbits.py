@@ -154,3 +154,22 @@ def test_reduced_enumeration_output_is_unchanged(capsys):
     assert main(["enumerate", "--worlds", "3", "--reduce"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "b4224dfd1ccb50bb3d99dc1cb3ddc766cb5882080f7ca2627f9a1ff6fe174050"
+
+
+def test_a_search_whose_sweep_holds_a_labellings_relations_sweeps_them_all(monkeypatch):
+    """With one variable, one sweep can hold all 512 relations of a 3-world
+    labelling, so the orbit pass sweeps aligned ranges of every relation of
+    each representative instead of canonical tuples."""
+    swept = set()
+    sweep = frames.FrameSweep
+
+    def spy(chunk, *args, **kwargs):
+        if len(chunk.worlds) == 3:
+            assert isinstance(chunk.relations, range)
+            swept.update((chunk.labels, r) for r in chunk.relations)
+        return sweep(chunk, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "FrameSweep", spy)
+    assert countermodel_search([parse("@p")], parse("@~p"), 3, ULTRAFILTERS) is None
+    assert swept == {(labels, r) for labels, _ in _labelling_orbits(3, ALL) for r in range(512)}
+    assert len(swept) == 3 * 512
