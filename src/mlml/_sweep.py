@@ -73,6 +73,9 @@ _DOWN_SHAPE = {
 
 _GENERATOR_BIT = {E1: 0, E2: 1, E3: 2}
 
+# A block's top byte, with only its top bit possibly set, as a binary digit.
+_TOP_BYTE_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+
 
 # ---------------------------------------------------------------------------
 # Compilation
@@ -350,6 +353,9 @@ class FrameSweep:
         self._ids: dict[tuple[int, object, int], int] = {}
         self._results: list[list[int]] = []
         self._last: tuple[object, list[int]] | None = None
+        # Built by the first relations_meeting: each block's top bit, and
+        # 2**(B-1) - 1 in each B-bit block.
+        self._block_tops: tuple[int, int] | None = None
 
     # -- packed operators ---------------------------------------------------
 
@@ -507,23 +513,30 @@ class FrameSweep:
 
     def relations_meeting(self, mask: int) -> int:
         """Bit r set iff the group-aligned mask has a bit in the block of the
-        chunk's r-th relation."""
+        chunk's r-th relation.
+
+        A block of B bits holds group-aligned bits below bit B - 2, so adding
+        2**(B-1) - 1 to it sets its top bit iff it is nonzero, and never
+        carries out of it: one addition tests every block, and the top bits
+        are read off one byte per block, or off the binary digits where a
+        block is not whole bytes."""
+        if not mask:
+            return 0
         block = 3 * self.valuation_count
-        if block % 8:
-            # Fewer than eight valuations: fold each block onto its first bit.
-            span = 3
-            while span < block:
-                mask |= mask >> span
+        if self._block_tops is None:
+            lanes, span, total = 1, block, block * len(self.relations)
+            while span < total:
+                lanes |= lanes << span
                 span *= 2
-            return int(format(mask, "b")[::-1][::block][::-1], 2)
+            high = lanes << (block - 1)
+            self._block_tops = (high, high - lanes)
+        high, below_high = self._block_tops
+        tops = (mask + below_high) & high
+        if block % 8:
+            return int(format(tops, f"0{block * len(self.relations)}b")[::block], 2)
         size = block // 8
-        data = mask.to_bytes(size * len(self.relations), "little")
-        zero = bytes(size)
-        found = 0
-        for r, at in enumerate(range(0, len(data), size)):
-            if data[at:at + size] != zero:
-                found |= 1 << r
-        return found
+        return int(tops.to_bytes(size * len(self.relations), "big")[::size]
+                   .translate(_TOP_BYTE_DIGITS), 2)
 
     def lowest_index(self, mask: int, relation: int) -> int | None:
         """Lowest valuation index with its bit set in the block of the

@@ -183,6 +183,7 @@ def _cmd_correspond(args) -> int:
         max_frames=args.max_frames,
         time_budget=args.time_budget,
         workers=args.workers,
+        keep_rows=args.csv,
     )
     if args.csv:
         print("frame_encoding,property_holds,formula_valid,witness")
@@ -191,7 +192,7 @@ def _cmd_correspond(args) -> int:
     counts = "+".join(str(frames.count_frames(n)) for n in range(1, args.max_worlds + 1))
     print(
         f"{counts} frames x {len(selected)} ultrafilters, "
-        f"{len(report.mismatches)} mismatches"
+        f"{report.mismatch_count} mismatches"
     )
     return EXIT_OK if report.clean else EXIT_NEGATIVE
 

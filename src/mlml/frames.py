@@ -28,9 +28,10 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import kripke, syntax
@@ -44,6 +45,7 @@ from ._sweep import (
     NOT,
     VAR,
     FrameSweep,
+    Program,
     RelationChunk,
     ResourceBudgetExceeded,
     compile_formula,
@@ -328,6 +330,77 @@ def count_frames(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Weighted parts of the frame space
+# ---------------------------------------------------------------------------
+
+
+# One sweep's worth of a scan over weighted frames: a labelling, a relation
+# chunk, and its frame weights, each weight mapped to the units of the chunk
+# that carry it; a unit with no weight is padding.
+_Part = tuple[tuple[str, ...], "range | tuple[int, ...]", dict[int, int]]
+
+
+def _every_relation(
+    n: int, variables: int, labellings: Iterable[tuple[tuple[str, ...], int]], ramp: bool = True
+) -> Iterator[list[_Part]]:
+    """Every relation on n worlds in aligned ranges, each with every
+    (labelling, weight) pair: 1, 1, 2, 4, ... relations wide with `ramp`, so
+    that an early hit stays cheap, else as wide as one sweep holds."""
+    labellings = list(labellings)
+    width, lo = relation_chunk_width(n, variables), 0
+    while lo < 1 << (n * n):
+        relations = range(lo, lo + (min(width, max(1, lo)) if ramp else width))
+        lo = relations.stop
+        every = (1 << len(relations)) - 1
+        yield [(labels, relations, {weight: every}) for labels, weight in labellings]
+
+
+def _orbit_frames(
+    n: int, variables: int, orbit_key: tuple[str, ...], ramp: bool = True
+) -> Iterator[list[_Part]]:
+    """The canonical relations of every orbit representative, the next 1,
+    1, 2, 4, ... of each per group with `ramp`, else as many as one sweep
+    holds, in tuples padded to a power of two with their last relation,
+    weighted by the labelling orbit's size times the relation orbit's."""
+    width, done = relation_chunk_width(n, variables), 0
+    canonical = [(labels, size, canonical_relations(n, labels, orbit_key))
+                 for labels, size in _labelling_orbits(n, orbit_key)]
+    while True:
+        step = min(width, max(1, done)) if ramp else width
+        done += step
+        group = []
+        for labels, size, relations in canonical:
+            taken = list(islice(relations, step))
+            if taken:
+                weights: dict[int, int] = {}
+                for k, (_, weight) in enumerate(taken):
+                    weights[size * weight] = weights.get(size * weight, 0) | 1 << k
+                padding = (1 << (len(taken) - 1).bit_length()) - len(taken)
+                chunk = tuple(r for r, _ in taken) + (taken[-1][0],) * padding
+                group.append((labels, chunk, weights))
+        if not group:
+            return
+        yield group
+
+
+def _orbit_parts(
+    n: int, variables: int, orbit_key: tuple[str, ...], ramp: bool = True
+) -> Iterator[list[_Part]]:
+    """The frames on n worlds up to the symmetry that maps the ultrafilters
+    named in `orbit_key` to each other, in groups of parts whose weights sum
+    to every frame: the orbit representatives of `_labelling_orbits`, each
+    weighted by the size of its orbit, and, where one sweep cannot hold all
+    of a labelling's relations, per representative the relations canonical
+    under its stabiliser (see _orbits), each weighted by the size of its
+    orbit too.  Where one sweep holds them all, the ramp's sweep count is
+    logarithmic in the relations swept, so canonical tuples would save a
+    sweep or two and cost more to build."""
+    if relation_chunk_width(n, variables) == 1 << (n * n):
+        return _every_relation(n, variables, _labelling_orbits(n, orbit_key), ramp)
+    return _orbit_frames(n, variables, orbit_key, ramp)
+
+
+# ---------------------------------------------------------------------------
 # Correspondence harness
 # ---------------------------------------------------------------------------
 
@@ -345,9 +418,22 @@ class Mismatch:
 # when the frame has the property, else the property's violation.
 Row = tuple[int, int, str, Ultrafilter, "int | tuple"]
 
+_ULTRAFILTER_NAME = {u.generator: u.name for u in ULTRAFILTERS}
+_ULTRAFILTER_RANK = {u.generator: i for i, u in enumerate(ULTRAFILTERS)}
+
 
 def _direction(witness: int | tuple) -> str:
     return "property_without_valid" if isinstance(witness, int) else "valid_without_property"
+
+
+def _mismatch(row: Row, variables: tuple[str, ...]) -> Mismatch:
+    n, bits, labels, u, witness = row
+    worlds = _world_names(n)
+    frame = _frame_from_bits(worlds, labels, bits)
+    direction = _direction(witness)
+    if isinstance(witness, int):
+        witness = Model(frame, valuation_at(worlds, labels, variables, witness), u)
+    return Mismatch(frame, u, direction, witness)
 
 
 class _Labelled(NamedTuple):
@@ -364,6 +450,11 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _csv_json(value: object) -> str:
+    """JSON text with its quotes doubled, for inside a quoted CSV cell."""
+    return json.dumps(value).replace('"', '""')
+
+
 class _Mismatches(Sequence):
     """The mismatches of a report's rows, each built when read."""
 
@@ -377,13 +468,7 @@ class _Mismatches(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self._rows)))]
-        n, bits, labels, u, witness = self._rows[i]
-        worlds = _world_names(n)
-        frame = _frame_from_bits(worlds, labels, bits)
-        direction = _direction(witness)
-        if isinstance(witness, int):
-            witness = Model(frame, valuation_at(worlds, labels, self._variables, witness), u)
-        return Mismatch(frame, u, direction, witness)
+        return _mismatch(self._rows[i], self._variables)
 
 
 @dataclass
@@ -395,101 +480,176 @@ class CorrespondenceReport:
     frames_checked: int
     variables: tuple[str, ...] = ()
     rows: list[Row] = field(default_factory=list)  # in report order
+    # Kept instead of rows when the check keeps none: the number of
+    # mismatches in each direction.
+    totals: dict[str, int] | None = None
 
     @property
     def mismatches(self) -> Sequence[Mismatch]:
         return _Mismatches(self.rows, self.variables)
 
     @property
+    def mismatch_count(self) -> int:
+        return len(self.rows) if self.totals is None else sum(self.totals.values())
+
+    @property
     def clean(self) -> bool:
-        return not self.rows
+        return not self.mismatch_count
 
     def directions(self) -> set[str]:
+        if self.totals is not None:
+            return {direction for direction, count in self.totals.items() if count}
         return {_direction(row[4]) for row in self.rows}
 
     def csv_rows(self) -> Iterator[str]:
         """The lines of `correspond --csv` after its header, one per
         mismatch, formatted from the rows.  A countermodel is the CSV cell of
         json.dumps(kripke.model_to_dict(model)), put together from the JSON
-        of its frame's fields and of its valuation's, each quoted for CSV
-        once.  A frame's rows are adjacent, so only the last frame's JSON
-        is kept; valuations recur across frames and are cached for this
-        call."""
-        frame_key = frame_part = None
+        of its frame's document up to its edges, of its edges and of its
+        valuation's fields, each quoted for CSV once.  The first and the
+        last are cached for this call; a relation's rows are adjacent, so
+        only the last relation's edges are kept."""
+        heads: dict[tuple[int, str], str] = {}
+        edges_key = edges_part = None
         valuation_parts: dict[tuple[str, int, str], str] = {}
         for n, bits, labels, u, witness in self.rows:
-            name = u.name
+            name = _ULTRAFILTER_NAME[u.generator]
             head = f"{n}:{bits}:{labels};U={name}"
-            if not isinstance(witness, int):
+            if witness.__class__ is not int:
                 yield f"{head},false,true,{_csv_cell('violation at ' + ','.join(witness))}"
                 continue
             worlds = _world_names(n)
-            if frame_key != (n, bits, labels):
-                frame_key = (n, bits, labels)
+            frame_head = heads.get((n, labels))
+            if frame_head is None:
+                # The document of the frame without edges ends in `[]}`.
+                frame = _Labelled(worlds, frozenset(), dict(zip(worlds, labels)))
+                frame_head = heads[n, labels] = _csv_json(kripke.frame_to_dict(frame))[:-3]
+            if edges_key != (n, bits):
+                edges_key = (n, bits)
                 frame = _Labelled(worlds, _relation_from_bits(worlds, bits),
                                   dict(zip(worlds, labels)))
-                frame_part = json.dumps(kripke.frame_to_dict(frame))[:-1].replace('"', '""')
+                edges_part = _csv_json(kripke.frame_to_dict(frame)["edges"])
             valuation_part = valuation_parts.get((labels, witness, name))
             if valuation_part is None:
                 valuation = valuation_at(worlds, labels, self.variables, witness)
-                valuation_part = json.dumps(_valuation_doc(valuation, u))[1:].replace('"', '""')
+                valuation_part = _csv_json(_valuation_doc(valuation, u))[1:]
                 valuation_parts[labels, witness, name] = valuation_part
-            yield f'{head},true,false,"{frame_part}, {valuation_part}"'
+            yield f'{head},true,false,"{frame_head}{edges_part}, {valuation_part}"'
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceBudgetExceeded("time budget exhausted")
+
+
+def _chunk_mismatches(
+    prop: FrameProperty,
+    program: Program,
+    var_names: tuple[str, ...],
+    n: int,
+    labels: tuple[str, ...],
+    relations: range | tuple[int, ...],
+    selected: tuple[Ultrafilter, ...],
+    max_valuations: int | None,
+) -> Iterator[tuple[int, int, Callable[[int], Row]]]:
+    """One packed sweep of the frames on the labelled n worlds whose
+    relations are the chunk's, with validity and the property reduced to one
+    bit per relation.  Per selected ultrafilter: the units with the
+    property, the units whose frame mismatches, and the row of a mismatched
+    unit.  No Frame is built unless the property has no clauses."""
+    worlds = _world_names(n)
+    text = "".join(labels)
+    holds = prop.relation_mask(worlds, labels, relations)
+    sweep = FrameSweep(RelationChunk(worlds, labels, relations), var_names,
+                       max_valuations=max_valuations)
+    every = (1 << len(relations)) - 1
+    for u in selected:
+        invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
+
+        def row(r: int, u: Ultrafilter = u, invalid: int = invalid) -> Row:
+            bits = relations[r]
+            if holds >> r & 1:
+                return n, bits, text, u, sweep.lowest_index(invalid, r)
+            return n, bits, text, u, prop._violation_at(worlds, labels, bits)
+
+        yield holds, every ^ sweep.relations_meeting(invalid) ^ holds, row
 
 
 def _correspondence_chunk(job: tuple) -> tuple[int, list[Row]]:
     """Check every frame on n worlds whose relation lies in the job's range:
-    one packed sweep per labelling and chunk of relations, with validity and
-    the property reduced to one bit per relation.  A mismatch is a row; no
-    Frame is built unless the property has no clauses."""
+    per labelling, one sweep per chunk of the range, and a row per
+    mismatch."""
     prop, program, var_names, n, relations, selected, max_valuations, deadline = job
-    worlds = _world_names(n)
     width = min(len(relations), relation_chunk_width(n, len(var_names)))
     checked = 0
     rows: list[Row] = []
     for labels in product("ABC", repeat=n):
-        text = "".join(labels)
         for lo in range(relations.start, relations.stop, width):
-            if deadline is not None and time.monotonic() > deadline:
-                raise ResourceBudgetExceeded("time budget exhausted")
-            chunk = range(lo, lo + width)
+            _check_deadline(deadline)
             checked += width
-            holds = prop.relation_mask(worlds, labels, chunk)
-            sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
-                               max_valuations=max_valuations)
-            for u in selected:
-                invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
-                valid = ((1 << width) - 1) ^ sweep.relations_meeting(invalid)
-                for r in set_bits(valid ^ holds):
-                    if holds >> r & 1:
-                        witness = sweep.lowest_index(invalid, r)
-                    else:
-                        witness = prop._violation_at(worlds, labels, lo + r)
-                    rows.append((n, lo + r, text, u, witness))
+            for _, mismatched, row in _chunk_mismatches(
+                prop, program, var_names, n, labels, range(lo, lo + width), selected,
+                max_valuations,
+            ):
+                rows.extend(map(row, set_bits(mismatched)))
     return checked, rows
 
 
-def _recheck(report: CorrespondenceReport, prop: FrameProperty, formula: Formula) -> None:
-    """Replay the first mismatch of each direction and ultrafilter on the
+def _orbit_chunk(job: tuple) -> tuple[int, tuple[int, int], list[Row]]:
+    """Check one part of the orbit pass: the weighted count of its frames,
+    its weighted mismatch counts in the property-without-validity and the
+    validity-without-property directions, and its first mismatch of each
+    direction and ultrafilter."""
+    prop, program, var_names, n, (labels, relations, weights), selected, max_valuations, \
+        deadline = job
+    _check_deadline(deadline)
+
+    def weighted(units: int) -> int:
+        return sum(weight * (units & mask).bit_count() for weight, mask in weights.items())
+
+    carried = 0  # the units that carry a weight; the others are padding
+    for mask in weights.values():
+        carried |= mask
+    counts = [0, 0]
+    firsts: list[Row] = []
+    for holds, mismatched, row in _chunk_mismatches(
+        prop, program, var_names, n, labels, relations, selected, max_valuations
+    ):
+        for direction, units in enumerate((mismatched & holds & carried,
+                                           mismatched & ~holds & carried)):
+            if units:
+                counts[direction] += weighted(units)
+                firsts.append(row((units & -units).bit_length() - 1))
+    return weighted(carried), (counts[0], counts[1]), firsts
+
+
+def _recheck(
+    rows: Iterable[Row],
+    ultrafilters: int,
+    prop: FrameProperty,
+    formula: Formula,
+    variables: tuple[str, ...],
+) -> None:
+    """Replay the first of the rows of each direction and ultrafilter on the
     definitional side: the countermodel with kripke's countermodel re-check,
-    the violation on the property's own finder."""
-    seen: set[tuple[str, str]] = set()
-    mismatches = report.mismatches
-    for i, (_, _, _, u, witness) in enumerate(report.rows):
-        key = (_direction(witness), u.name)
-        if key in seen:
-            continue
-        seen.add(key)
-        m = mismatches[i]
-        if isinstance(witness, int):
+    the violation on the property's own finder.  Finding them costs no call
+    per row."""
+    first: dict[tuple[int, type], Row] = {}
+    for row in rows:
+        key = (row[3].generator, row[4].__class__)
+        if key not in first:
+            first[key] = row
+            if len(first) == 2 * ultrafilters:
+                break
+    for row in first.values():
+        m = _mismatch(row, variables)
+        if isinstance(row[4], int):
             kripke._checked_countermodel(m.witness, (), formula)
             agree = prop.holds(m.frame)
         else:
-            agree = prop.violation(m.frame) == witness
+            agree = prop.violation(m.frame) == row[4]
         if not agree:
             raise AssertionError("sweep and definitional evaluator disagree")
-        if len(seen) == 2 * len(report.ultrafilters):
-            return
 
 
 def correspondence_check(
@@ -501,6 +661,7 @@ def correspondence_check(
     max_frames: int | None = None,
     time_budget: float | None = None,
     workers: int = 1,
+    keep_rows: bool = True,
 ) -> CorrespondenceReport:
     """Exhaustively compare frame validity of the formula against the
     property over every frame with up to max_worlds worlds.
@@ -511,15 +672,27 @@ def correspondence_check(
     a property violation in the other.  Mismatches are reported sorted by
     world count, then the frame encoding as a string, then ultrafilter.  The
     report keeps them as rows and builds each Mismatch when read; the first
-    of each direction and ultrafilter is re-checked here.
+    of each direction and ultrafilter is re-checked here.  With
+    keep_rows=False the report keeps no rows, only the number of mismatches
+    in each direction (`totals`), and the first mismatch of each direction
+    and ultrafilter that the check met is re-checked.
 
-    The frames are split into jobs of relation bitmasks, checked in this
-    process when workers == 1 and across a process pool otherwise; both
-    honour the frame and time budgets.  A job sweeps each labelling over
-    chunks of relations packed into one operand (see _sweep), so the
-    witness of a property-without-validity mismatch is the canonically
-    first countermodel on its frame, as a per-frame sweep would find it.  A
-    property not in PROPERTIES always runs in this process.
+    Renaming the worlds, and permuting the atoms with the ultrafilters
+    moving in step, maps a mismatch to a mismatch of the same direction for
+    every property in PROPERTIES.  For those, each world count is first
+    checked on the orbit representatives only, each frame weighted by the
+    size of its orbit, as the countermodel search scans them (see
+    _orbit_parts).  The weights are positive, so a weighted total of 0 means
+    no mismatch; without rows, the weighted totals are the counts.  Where
+    rows are kept and a representative mismatches, that pass stops and the
+    world count is checked frame by frame: its relation bitmasks are split
+    into jobs, and a job sweeps each labelling over chunks of relations
+    packed into one operand (see _sweep), so the witness of a
+    property-without-validity mismatch is the canonically first
+    countermodel on its frame, as a per-frame sweep would find it.  Any
+    other property is checked frame by frame at every world count, in this
+    process.  Both passes run in this process when workers == 1 and across
+    one process pool otherwise, and both honour the frame and time budgets.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -543,47 +716,72 @@ def correspondence_check(
         variables=syntax.variables(formula),
     )
     program = compile_formula(formula)
-
-    jobs = []
-    for n in range(1, max_worlds + 1):
-        total_bits = 1 << (n * n)
-        step = 1 << (max(1, total_bits // (workers * 4)).bit_length() - 1)
-        for lo in range(0, total_bits, step):
-            jobs.append((prop, program, report.variables, n,
-                         range(lo, min(lo + step, total_bits)), selected, max_valuations, deadline))
-
-    if workers > 1 and prop in PROPERTIES.values():
+    variables = report.variables
+    symmetric = prop in PROPERTIES.values()
+    orbit_key = tuple(sorted({u.name for u in selected}))
+    # Read only without rows: the weighted counts of either direction, and
+    # the first mismatches met.
+    without_valid = without_property = 0
+    firsts: list[Row] = []
+    pool_context = nullcontext()
+    if workers > 1 and symmetric:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_correspondence_chunk, jobs))
-    else:
-        results = map(_correspondence_chunk, jobs)
-    for checked, rows in results:
-        report.frames_checked += checked
-        report.rows.extend(rows)
+        pool_context = ProcessPoolExecutor(max_workers=workers)
+    with pool_context as pool:
+        run = map if pool is None else pool.map
+        for n in range(1, max_worlds + 1):
+            _check_deadline(deadline)
+            if symmetric:
+                parts = chain.from_iterable(_orbit_parts(n, len(variables), orbit_key, ramp=False))
+                checked, found = 0, []
+                for part_checked, (a, b), part_firsts in run(_orbit_chunk, (
+                    (prop, program, variables, n, part, selected, max_valuations, deadline)
+                    for part in parts
+                )):
+                    checked += part_checked
+                    without_valid += a
+                    without_property += b
+                    found += part_firsts
+                    if keep_rows and found:
+                        break
+                if not (keep_rows and found):
+                    report.frames_checked += checked
+                    firsts += found
+                    continue
+            total_bits = 1 << (n * n)
+            step = 1 << (max(1, total_bits // (workers * 4)).bit_length() - 1)
+            for checked, rows in run(_correspondence_chunk, (
+                (prop, program, variables, n, range(lo, min(lo + step, total_bits)), selected,
+                 max_valuations, deadline)
+                for lo in range(0, total_bits, step)
+            )):
+                report.frames_checked += checked
+                report.rows.extend(rows)
+    rows = report.rows
+    if not keep_rows:
+        direct = sum(1 for row in rows if row[4].__class__ is int)
+        report.totals = {"property_without_valid": without_valid + direct,
+                         "valid_without_property": without_property + len(rows) - direct}
+        _recheck(firsts + rows, len(selected), prop, formula, variables)
+        report.rows = []
+        return report
     # The frame encoding sorts as a string, "2:10:AB" before "2:1:AB": by
     # world count, then str(bits) + ":", then labels.  Each row sorts on one
     # int: the rank of its world count and bits in that order, then of its
     # labels, then the ultrafilter.
-    rows = report.rows
     relations = sorted({(row[0], row[1]) for row in rows}, key=lambda nb: (nb[0], f"{nb[1]}:"))
     relation_rank = {nb: i for i, nb in enumerate(relations)}
     label_rank = {text: i for i, text in enumerate(sorted({row[2] for row in rows}))}
     rows.sort(key=lambda row: (relation_rank[row[0], row[1]] * len(label_rank)
-                               + label_rank[row[2]]) * 3 + ULTRAFILTERS.index(row[3]))
-    _recheck(report, prop, formula)
+                               + label_rank[row[2]]) * 3 + _ULTRAFILTER_RANK[row[3].generator])
+    _recheck(rows, len(selected), prop, formula, variables)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Countermodel search
 # ---------------------------------------------------------------------------
-
-
-# One sweep's worth of the search: a labelling, a relation chunk, and its
-# frame weights, each weight mapped to the units of the chunk that carry it.
-_Part = tuple[tuple[str, ...], "range | tuple[int, ...]", dict[int, int]]
 
 
 def _countermodel_scan(
@@ -600,12 +798,9 @@ def _countermodel_scan(
     worlds and permuting the atoms, with the relation, the carriers and the
     ultrafilters moving in step, maps a countermodel to a countermodel and
     keeps every property in PROPERTIES.  So with no filter or one of those,
-    each world count is first scanned on the orbit representatives of
-    `_labelling_orbits`, each weighted by the size of its orbit, and, where
-    one sweep cannot hold all of a labelling's relations, per representative
-    on the relations canonical under its stabiliser (see _orbits), each
-    weighted by the size of its orbit too; every labelling and relation is
-    scanned only where they have a countermodel or pass the budget."""
+    each world count is first scanned on the weighted orbit representatives
+    of `_orbit_parts`; every labelling and relation is scanned only where
+    they have a countermodel or pass the budget."""
     if getattr(frame_filter, "__func__", None) is FrameProperty.holds:
         frame_filter = frame_filter.__self__  # a bound `holds`, as the is_* aliases are
     symmetric = frame_filter is None or frame_filter in PROPERTIES.values()
@@ -667,60 +862,16 @@ def _countermodel_scan(
                 break
         return None, count
 
-    def every_relation(n: int, labellings: Iterable[tuple[tuple[str, ...], int]]
-                       ) -> Iterator[list[_Part]]:
-        """Aligned ranges 1, 1, 2, 4, ... relations wide, so that an early
-        hit stays cheap, each with every (labelling, weight) pair."""
-        labellings = list(labellings)
-        width, lo = relation_chunk_width(n, len(var_names)), 0
-        while lo < 1 << (n * n):
-            relations = range(lo, lo + min(width, max(1, lo)))
-            lo = relations.stop
-            every = (1 << len(relations)) - 1
-            yield [(labels, relations, {weight: every}) for labels, weight in labellings]
-
-    def orbit_frames(n: int) -> Iterator[list[_Part]]:
-        """The canonical relations of every orbit representative, the next
-        1, 1, 2, 4, ... of each per group, in tuples padded to a power of
-        two with their last relation, weighted by the labelling orbit's size
-        times the relation orbit's."""
-        width, done = relation_chunk_width(n, len(var_names)), 0
-        canonical = [(labels, size, canonical_relations(n, labels, orbit_key))
-                     for labels, size in _labelling_orbits(n, orbit_key)]
-        while True:
-            step = min(width, max(1, done))
-            done += step
-            group = []
-            for labels, size, relations in canonical:
-                taken = list(islice(relations, step))
-                if taken:
-                    weights: dict[int, int] = {}
-                    for k, (_, weight) in enumerate(taken):
-                        weights[size * weight] = weights.get(size * weight, 0) | 1 << k
-                    padding = (1 << (len(taken) - 1).bit_length()) - len(taken)
-                    chunk = tuple(r for r, _ in taken) + (taken[-1][0],) * padding
-                    group.append((labels, chunk, weights))
-            if not group:
-                return
-            yield group
-
     orbit_key = tuple(sorted({u.name for u in selected}))
     limit, seen = math.inf if max_frames is None else max_frames, 0
     for n in range(1, max_worlds + 1):
         if symmetric:
-            # Where one sweep can hold every relation of a labelling, the
-            # ramp's sweep count is logarithmic in the relations swept, so
-            # canonical tuples save a sweep or two and cost more to build.
-            if relation_chunk_width(n, len(var_names)) == 1 << (n * n):
-                orbits = every_relation(n, _labelling_orbits(n, orbit_key))
-            else:
-                orbits = orbit_frames(n)
-            model, count = scan(n, orbits, limit - seen)
+            model, count = scan(n, _orbit_parts(n, len(var_names), orbit_key), limit - seen)
             if model is None and seen + count <= limit:
                 seen += count
                 continue
         labellings = ((labels, 1) for labels in product("ABC", repeat=n))
-        model, count = scan(n, every_relation(n, labellings), limit - seen)
+        model, count = scan(n, _every_relation(n, len(var_names), labellings), limit - seen)
         seen += count
         if seen > limit:
             raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")

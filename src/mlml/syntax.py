@@ -172,23 +172,44 @@ def variables(f: Formula) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
+def _children(g: Formula) -> tuple[Formula, ...]:
+    if isinstance(g, _UNARY_TYPES):
+        return (g.sub,)
+    if isinstance(g, (And, Or)):
+        return (g.left, g.right)
+    return ()
+
+
+def _post_order(f: Formula) -> Iterator[Formula]:
+    """The nodes of f, children before parents and left before right, each
+    node object once however many parents share it."""
+    done: set[int] = set()  # ids of nodes of f, all kept alive by f
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if id(g) in done:
+            continue
+        if expanded:
+            done.add(id(g))
+            yield g
+            continue
+        stack.append((g, True))
+        stack.extend((child, False) for child in reversed(_children(g)))
+
+
 def connective_count(f: Formula) -> int:
-    """Number of operator nodes (variables and constants count zero)."""
-    if isinstance(f, (Var, Top, Bot)):
-        return 0
-    if isinstance(f, _UNARY_TYPES):
-        return 1 + connective_count(f.sub)
-    return 1 + connective_count(f.left) + connective_count(f.right)
+    """Number of operator nodes (variables and constants count zero), a
+    node counted once per parent that shares it, as in the written-out
+    tree; each distinct node is visited once."""
+    counts: dict[int, int] = {}
+    for g in _post_order(f):
+        kids = _children(g)
+        counts[id(g)] = 1 + sum(counts[id(c)] for c in kids) if kids else 0
+    return counts[id(f)]
 
 
 def is_modal_free(f: Formula) -> bool:
-    if isinstance(f, _MODAL_TYPES):
-        return False
-    if isinstance(f, _UNARY_TYPES):
-        return is_modal_free(f.sub)
-    if isinstance(f, (And, Or)):
-        return is_modal_free(f.left) and is_modal_free(f.right)
-    return True
+    return not any(isinstance(g, _MODAL_TYPES) for g in _post_order(f))
 
 
 def ball_substitution(f: Formula) -> Formula:
@@ -492,10 +513,11 @@ def corpus_size(var_count: int, max_connectives: int) -> int:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformulas, the formula itself included, children first."""
-    if isinstance(f, _UNARY_TYPES):
-        yield from subformulas(f.sub)
-    elif isinstance(f, (And, Or)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    yield f
+    """Each distinct subformula once, the formula itself included, children
+    first: the first occurrence of each in a left-to-right walk of the
+    tree, found visiting each distinct node once."""
+    seen: set[Formula] = set()
+    for g in _post_order(f):
+        if g not in seen:
+            seen.add(g)
+            yield g

@@ -1,0 +1,188 @@
+"""The orbit pass of the correspondence harness and the reductions it uses.
+
+A property in `frames.PROPERTIES` is first checked on the orbit
+representatives only, each frame weighted by the size of its orbit.  The
+weighted counts are compared with the rows of the frame-by-frame check,
+which a property outside the table always gets, and a spy on the sweeps
+shows that a clean criterion sweeps the representatives only.  The per-block
+reduction `FrameSweep.relations_meeting` is compared with a per-block
+reference on aligned ranges and tuples, for blocks narrower and wider than a
+byte.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mlml import frames
+from mlml._orbits import _labelling_orbits
+from mlml._sweep import FrameSweep, RelationChunk
+from mlml.algebra import ULTRAFILTERS
+from mlml.cli import main
+from mlml.frames import PROPERTIES, FrameProperty, correspondence_check, count_frames
+
+# The nine correspondences of the acceptance battery.
+CRITERIA = (
+    ("reflexive", "[]p -> p"),
+    ("transitive", "[]p -> [][]p"),
+    ("euclidean", "<>p -> []<>p"),
+    ("euclidean", "<>@p -> []<>@p"),
+    ("serial", "[]p -> <>p"),
+    ("symmetric", "p -> []<>p"),
+    ("out_of_bubble", "<>T -> ([]~@p -> ~[]p)"),
+    ("transitive_through_equality", "[]p -> [=][=]p"),
+    ("transitive_through_difference", "[]p -> [-][=](@p & p)"),
+)
+
+E1, E2, E3 = ULTRAFILTERS
+ULTRAFILTER_SETS = ((E1, E2, E3), (E1,), (E2,), (E3,), (E1, E3))
+
+
+def frame_by_frame(name: str) -> FrameProperty:
+    """The property under a finder outside PROPERTIES, with the same
+    clauses: the harness checks it frame by frame at every world count."""
+    violation = PROPERTIES[name].violation
+    return FrameProperty(name, functools.wraps(violation)(lambda frame: violation(frame)))
+
+
+@pytest.fixture(scope="module")
+def unreduced_rows():
+    """Per criterion, the rows of the frame-by-frame check on up to three
+    worlds under every ultrafilter."""
+    return {
+        (name, formula): correspondence_check(frame_by_frame(name), formula, 3).rows
+        for name, formula in CRITERIA
+    }
+
+
+@pytest.mark.parametrize("name,formula", CRITERIA)
+def test_weighted_totals_count_the_unreduced_rows(unreduced_rows, name, formula):
+    rows = unreduced_rows[name, formula]
+    for selected in ULTRAFILTER_SETS:
+        for n in (1, 2, 3):
+            kept = [row for row in rows if row[0] <= n and row[3] in selected]
+            without_valid = sum(1 for row in kept if isinstance(row[4], int))
+            report = correspondence_check(name, formula, n, selected, keep_rows=False)
+            assert report.rows == [] and not report.mismatches
+            assert report.totals == {"property_without_valid": without_valid,
+                                     "valid_without_property": len(kept) - without_valid}
+            assert report.mismatch_count == len(kept)
+            assert report.clean == (not kept)
+            assert report.frames_checked == sum(count_frames(k) for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("name,formula", CRITERIA)
+def test_rows_match_the_unreduced_rows(unreduced_rows, name, formula):
+    report = correspondence_check(name, formula, 3)
+    assert report.rows == unreduced_rows[name, formula]
+    assert report.totals is None
+    assert report.mismatch_count == len(report.rows)
+
+
+def test_clean_criterion_sweeps_only_representatives(monkeypatch):
+    swept = []
+
+    class Spy(FrameSweep):
+        def __init__(self, frame, *args, **kwargs):
+            swept.append((len(frame.worlds), frame.labels))
+            super().__init__(frame, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "FrameSweep", Spy)
+    names = tuple(u.name for u in ULTRAFILTERS)
+    for keep_rows in (True, False):
+        swept.clear()
+        report = correspondence_check("reflexive", "[]p -> p", 3, keep_rows=keep_rows)
+        assert report.clean and report.frames_checked == 6 + 144 + 13824
+        at_three = [labels for n, labels in swept if n == 3]
+        assert at_three == [labels for labels, _ in _labelling_orbits(3, names)]
+        assert len(at_three) == 3
+        assert len(swept) == 1 + 2 + 3
+
+
+def test_a_mismatch_falls_back_to_every_frame_only_with_rows(monkeypatch):
+    swept = []
+
+    class Spy(FrameSweep):
+        def __init__(self, frame, *args, **kwargs):
+            swept.append(len(frame.worlds))
+            super().__init__(frame, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "FrameSweep", Spy)
+    correspondence_check("transitive", "[]p -> [][]p", 3, keep_rows=False)
+    assert swept.count(3) == 3
+    swept.clear()
+    correspondence_check("transitive", "[]p -> [][]p", 3)
+    assert swept.count(3) > 27
+
+
+def test_count_only_cli_matches_the_csv_lines(capsys):
+    args = ["correspond", "--property", "euclidean", "--formula", "<>p -> []<>p",
+            "--max-worlds", "2", "--all-ultrafilters"]
+    assert main(args) == 1
+    summary = capsys.readouterr().out
+    assert main(args + ["--csv"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert summary == lines[-1] + "\n"
+    assert summary.endswith(f", {len(lines) - 2} mismatches\n")
+
+
+def test_count_only_rechecks_a_representative(monkeypatch):
+    seen = []
+    checked = frames.kripke._checked_countermodel
+
+    def spy(model, premises, goal):
+        seen.append(model)
+        return checked(model, premises, goal)
+
+    monkeypatch.setattr(frames.kripke, "_checked_countermodel", spy)
+    report = correspondence_check("euclidean", "<>p -> []<>p", 3, keep_rows=False)
+    assert report.directions() == {"property_without_valid"}
+    assert 1 <= len(seen) <= 3
+    assert all(PROPERTIES["euclidean"].holds(model.frame) for model in seen)
+
+
+# -- relations_meeting ---------------------------------------------------------
+
+# (worlds, variables, binary): blocks of 1, 2, 4 and 8 valuations, then 16
+# and 64 valuations, wider than a byte.
+SHAPES = ((1, 0, True), (1, 1, True), (2, 1, True), (3, 1, True), (2, 1, False),
+          (3, 1, False), (1, 2, False))
+
+
+@st.composite
+def meeting_cases(draw):
+    n, variables, binary = draw(st.sampled_from(SHAPES))
+    worlds = tuple(f"w{i + 1}" for i in range(n))
+    labels = tuple(draw(st.sampled_from("ABC")) for _ in worlds)
+    total = 1 << (n * n)
+    count = 1 << draw(st.integers(0, min(n * n, 6)))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, total // count - 1)) * count
+        relations = range(start, start + count)
+    else:
+        relations = tuple(sorted(draw(st.lists(st.integers(0, total - 1),
+                                               min_size=count, max_size=count))))
+    sweep = FrameSweep(RelationChunk(worlds, labels, relations), ("p", "q")[:variables],
+                       binary=binary)
+    block = 3 * sweep.valuation_count
+    mask = 0
+    for r in range(count):
+        kind = draw(st.sampled_from(("empty", "one", "full", "random")))
+        if kind == "one":
+            mask |= 1 << (block * r + 3 * draw(st.integers(0, sweep.valuation_count - 1)))
+        elif kind == "full":
+            mask |= ((1 << block) - 1) // 7 << (block * r)
+        elif kind == "random":
+            mask |= (draw(st.integers(0, (1 << block) - 1)) & ((1 << block) - 1) // 7) << (block * r)
+    return sweep, mask
+
+
+@given(meeting_cases())
+@settings(max_examples=300, deadline=None)
+def test_relations_meeting_matches_a_per_block_reference(case):
+    sweep, mask = case
+    block = 3 * sweep.valuation_count
+    expected = sum(1 << r for r in range(len(sweep.relations))
+                   if mask >> (block * r) & ((1 << block) - 1))
+    assert sweep.relations_meeting(mask) == expected

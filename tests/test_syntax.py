@@ -233,3 +233,65 @@ def test_nesting_counts_every_operator_and_parenthesis():
         parse(chain + " & p")
     with pytest.raises(ParseError, match="nested deeper than"):
         parse("~" * (MAX_NESTING - 1) + "(p | q)")
+
+
+def _tree_connectives(f):
+    if isinstance(f, (Var, Top, Bot)):
+        return 0
+    if isinstance(f, (And, Or)):
+        return 1 + _tree_connectives(f.left) + _tree_connectives(f.right)
+    return 1 + _tree_connectives(f.sub)
+
+
+def _tree_modal_free(f):
+    if isinstance(f, (Box, Diamond, BoxSame, BoxDiff)):
+        return False
+    if isinstance(f, (And, Or)):
+        return _tree_modal_free(f.left) and _tree_modal_free(f.right)
+    if isinstance(f, (Var, Top, Bot)):
+        return True
+    return _tree_modal_free(f.sub)
+
+
+def _tree_subformulas(f):
+    if isinstance(f, (And, Or)):
+        yield from _tree_subformulas(f.left)
+        yield from _tree_subformulas(f.right)
+    elif not isinstance(f, (Var, Top, Bot)):
+        yield from _tree_subformulas(f.sub)
+    yield f
+
+
+def _iff_chains(operators):
+    """`p <-> p <-> ...` and a modal variant, with the given count of `<->`."""
+    yield parse(" <-> ".join(["p"] * (operators + 1)))
+    yield parse(" <-> ".join((["[]p", "q", "@p"] * (operators + 1))[: operators + 1]))
+
+
+def test_syntax_walks_match_the_tree_walk_on_shared_chains():
+    from mlml.syntax import is_modal_free, subformulas
+
+    for operators in range(13):
+        for f in _iff_chains(operators):
+            assert connective_count(f) == _tree_connectives(f)
+            assert is_modal_free(f) == _tree_modal_free(f)
+            firsts = []
+            for g in _tree_subformulas(f):
+                if g not in firsts:
+                    firsts.append(g)
+            assert list(subformulas(f)) == firsts
+
+
+def test_syntax_walks_visit_each_shared_node_once():
+    import time
+
+    from mlml.syntax import is_modal_free, subformulas
+
+    started = time.perf_counter()
+    for f in _iff_chains(30):
+        connective_count(f)
+        is_modal_free(f)
+        found = list(subformulas(f))
+        assert len(found) == len(set(found))
+    assert time.perf_counter() - started < 1.0
+    assert connective_count(parse(" <-> ".join(["p"] * 31))) == 5 * (2 ** 30 - 1)
