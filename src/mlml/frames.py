@@ -1,7 +1,7 @@
 """Frame properties, exhaustive frame enumeration, the correspondence
-harness that tests "valid on F iff F has property P" over all small frames,
-the countermodel search's one scan of relation chunks over weighted
-frames, and the indiscernibility battery over semantic classes.
+harness that tests "valid on F iff F has property P" over all small frames
+and the countermodel search, both as passes over groups of weighted parts of
+the frame space, and the indiscernibility battery over semantic classes.
 
 Frames on n labeled worlds are enumerated canonically: relations as n*n-bit
 masks (bit i*n+j set meaning world i reaches world j) in increasing numeric
@@ -31,7 +31,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice, product
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import kripke, syntax
@@ -45,7 +45,6 @@ from ._sweep import (
     NOT,
     VAR,
     FrameSweep,
-    Program,
     RelationChunk,
     ResourceBudgetExceeded,
     compile_formula,
@@ -334,20 +333,21 @@ def count_frames(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# One sweep's worth of a scan over weighted frames: a labelling, a relation
-# chunk, and its frame weights, each weight mapped to the units of the chunk
-# that carry it; a unit with no weight is padding.
+# A part of a scan over weighted frames: a labelling, a relation chunk, and
+# its frame weights, each weight mapped to the units of the chunk that carry
+# it; a unit with no weight is padding.  Correspondence sweeps a part wider
+# than one sweep holds in chunks of `relation_chunk_width`.
 _Part = tuple[tuple[str, ...], "range | tuple[int, ...]", dict[int, int]]
 
 
 def _every_relation(
-    n: int, variables: int, labellings: Iterable[tuple[tuple[str, ...], int]], ramp: bool = True
+    n: int, width: int, labellings: Iterable[tuple[tuple[str, ...], int]], ramp: bool = True
 ) -> Iterator[list[_Part]]:
     """Every relation on n worlds in aligned ranges, each with every
-    (labelling, weight) pair: 1, 1, 2, 4, ... relations wide with `ramp`, so
-    that an early hit stays cheap, else as wide as one sweep holds."""
+    (labelling, weight) pair: 1, 1, 2, 4, ... relations wide up to `width`
+    with `ramp`, so that an early hit stays cheap, else `width` wide."""
     labellings = list(labellings)
-    width, lo = relation_chunk_width(n, variables), 0
+    lo = 0
     while lo < 1 << (n * n):
         relations = range(lo, lo + (min(width, max(1, lo)) if ramp else width))
         lo = relations.stop
@@ -395,8 +395,9 @@ def _orbit_parts(
     orbit too.  Where one sweep holds them all, the ramp's sweep count is
     logarithmic in the relations swept, so canonical tuples would save a
     sweep or two and cost more to build."""
-    if relation_chunk_width(n, variables) == 1 << (n * n):
-        return _every_relation(n, variables, _labelling_orbits(n, orbit_key), ramp)
+    width = relation_chunk_width(n, variables)
+    if width == 1 << (n * n):
+        return _every_relation(n, width, _labelling_orbits(n, orbit_key), ramp)
     return _orbit_frames(n, variables, orbit_key, ramp)
 
 
@@ -542,85 +543,55 @@ def _check_deadline(deadline: float | None) -> None:
         raise ResourceBudgetExceeded("time budget exhausted")
 
 
-def _chunk_mismatches(
-    prop: FrameProperty,
-    program: Program,
-    var_names: tuple[str, ...],
-    n: int,
-    labels: tuple[str, ...],
-    relations: range | tuple[int, ...],
-    selected: tuple[Ultrafilter, ...],
-    max_valuations: int | None,
-) -> Iterator[tuple[int, int, Callable[[int], Row]]]:
-    """One packed sweep of the frames on the labelled n worlds whose
-    relations are the chunk's, with validity and the property reduced to one
-    bit per relation.  Per selected ultrafilter: the units with the
-    property, the units whose frame mismatches, and the row of a mismatched
-    unit.  No Frame is built unless the property has no clauses."""
+def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
+    """Check one group of weighted parts of the frames on n worlds, each
+    part's relations in chunks as wide as one sweep holds: per chunk, one
+    packed sweep with validity and the property reduced to one bit per
+    relation.  Returns the weighted count of the group's frames, its
+    weighted mismatch counts in the property-without-validity and the
+    validity-without-property directions, and its rows: every mismatch with
+    `every_row`, else the first of each direction and ultrafilter.  No Frame
+    is built unless the property has no clauses."""
+    prop, program, var_names, n, group, selected, max_valuations, every_row, deadline = job
     worlds = _world_names(n)
-    text = "".join(labels)
-    holds = prop.relation_mask(worlds, labels, relations)
-    sweep = FrameSweep(RelationChunk(worlds, labels, relations), var_names,
-                       max_valuations=max_valuations)
-    every = (1 << len(relations)) - 1
-    for u in selected:
-        invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
-
-        def row(r: int, u: Ultrafilter = u, invalid: int = invalid) -> Row:
-            bits = relations[r]
-            if holds >> r & 1:
-                return n, bits, text, u, sweep.lowest_index(invalid, r)
-            return n, bits, text, u, prop._violation_at(worlds, labels, bits)
-
-        yield holds, every ^ sweep.relations_meeting(invalid) ^ holds, row
-
-
-def _correspondence_chunk(job: tuple) -> tuple[int, list[Row]]:
-    """Check every frame on n worlds whose relation lies in the job's range:
-    per labelling, one sweep per chunk of the range, and a row per
-    mismatch."""
-    prop, program, var_names, n, relations, selected, max_valuations, deadline = job
-    width = min(len(relations), relation_chunk_width(n, len(var_names)))
-    checked = 0
-    rows: list[Row] = []
-    for labels in product("ABC", repeat=n):
-        for lo in range(relations.start, relations.stop, width):
+    width = relation_chunk_width(n, len(var_names))
+    checked, counts, rows, met = 0, [0, 0], [], set()
+    for labels, relations, part_weights in group:
+        text = "".join(labels)
+        for lo in range(0, len(relations), width):
             _check_deadline(deadline)
-            checked += width
-            for _, mismatched, row in _chunk_mismatches(
-                prop, program, var_names, n, labels, range(lo, lo + width), selected,
-                max_valuations,
-            ):
-                rows.extend(map(row, set_bits(mismatched)))
-    return checked, rows
-
-
-def _orbit_chunk(job: tuple) -> tuple[int, tuple[int, int], list[Row]]:
-    """Check one part of the orbit pass: the weighted count of its frames,
-    its weighted mismatch counts in the property-without-validity and the
-    validity-without-property directions, and its first mismatch of each
-    direction and ultrafilter."""
-    prop, program, var_names, n, (labels, relations, weights), selected, max_valuations, \
-        deadline = job
-    _check_deadline(deadline)
-
-    def weighted(units: int) -> int:
-        return sum(weight * (units & mask).bit_count() for weight, mask in weights.items())
-
-    carried = 0  # the units that carry a weight; the others are padding
-    for mask in weights.values():
-        carried |= mask
-    counts = [0, 0]
-    firsts: list[Row] = []
-    for holds, mismatched, row in _chunk_mismatches(
-        prop, program, var_names, n, labels, relations, selected, max_valuations
-    ):
-        for direction, units in enumerate((mismatched & holds & carried,
-                                           mismatched & ~holds & carried)):
-            if units:
-                counts[direction] += weighted(units)
-                firsts.append(row((units & -units).bit_length() - 1))
-    return weighted(carried), (counts[0], counts[1]), firsts
+            chunk = relations[lo:lo + width]
+            every = (1 << len(chunk)) - 1
+            weights = [(weight, units >> lo & every) for weight, units in part_weights.items()]
+            carried = 0  # the units that carry a weight; the others are padding
+            for _, units in weights:
+                carried |= units
+            checked += sum(weight * units.bit_count() for weight, units in weights)
+            holds = prop.relation_mask(worlds, labels, chunk)
+            sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
+                               max_valuations=max_valuations)
+            for u in selected:
+                invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
+                mismatched = (every ^ sweep.relations_meeting(invalid) ^ holds) & carried
+                for direction, found in enumerate((mismatched & holds, mismatched & ~holds)):
+                    if not found:
+                        continue
+                    counts[direction] += sum(weight * (found & units).bit_count()
+                                             for weight, units in weights)
+                    if every_row:
+                        at = set_bits(found)
+                    elif (direction, u.generator) not in met:
+                        met.add((direction, u.generator))
+                        at = [(found & -found).bit_length() - 1]
+                    else:
+                        continue
+                    witnesses = (
+                        (prop._violation_at(worlds, labels, chunk[r]) for r in at) if direction
+                        else sweep.lowest_indices(invalid, at)
+                    )
+                    rows.extend((n, chunk[r], text, u, witness)
+                                for r, witness in zip(at, witnesses))
+    return checked, counts, rows
 
 
 def _recheck(
@@ -677,22 +648,26 @@ def correspondence_check(
     in each direction (`totals`), and the first mismatch of each direction
     and ultrafilter that the check met is re-checked.
 
+    Each world count is checked by a pass over groups of weighted parts of
+    its frames, one `_check_group` job per group: the job sweeps each part's
+    relations in chunks packed into one operand (see _sweep) and returns
+    the group's weighted frame count, its weighted mismatch counts per
+    direction and its rows; `frames_checked` and `totals` are their sums.
     Renaming the worlds, and permuting the atoms with the ultrafilters
     moving in step, maps a mismatch to a mismatch of the same direction for
-    every property in PROPERTIES.  For those, each world count is first
-    checked on the orbit representatives only, each frame weighted by the
-    size of its orbit, as the countermodel search scans them (see
-    _orbit_parts).  The weights are positive, so a weighted total of 0 means
-    no mismatch; without rows, the weighted totals are the counts.  Where
-    rows are kept and a representative mismatches, that pass stops and the
-    world count is checked frame by frame: its relation bitmasks are split
-    into jobs, and a job sweeps each labelling over chunks of relations
-    packed into one operand (see _sweep), so the witness of a
-    property-without-validity mismatch is the canonically first
-    countermodel on its frame, as a per-frame sweep would find it.  Any
-    other property is checked frame by frame at every world count, in this
-    process.  Both passes run in this process when workers == 1 and across
-    one process pool otherwise, and both honour the frame and time budgets.
+    every property in PROPERTIES.  For those, the pass is over the orbit
+    representatives, each frame weighted by the size of its orbit, as the
+    countermodel search scans them (see _orbit_parts).  The weights are
+    positive, so a weighted total of 0 means no mismatch.  Where rows are
+    kept, that pass only looks for a mismatch, one part per group; at the
+    first, it stops and the frame-by-frame pass lists the world count's
+    rows: every labelling with weight 1, in groups by the range of relation
+    bitmasks a worker takes, so the witness of a property-without-validity
+    mismatch is the canonically first countermodel on its frame, as a
+    per-frame sweep would find it.  Any other property gets the
+    frame-by-frame pass at every world count, in this process.  The jobs
+    run in this process when workers == 1 and across one process pool
+    otherwise, and honour the frame and time budgets.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -719,10 +694,7 @@ def correspondence_check(
     variables = report.variables
     symmetric = prop in PROPERTIES.values()
     orbit_key = tuple(sorted({u.name for u in selected}))
-    # Read only without rows: the weighted counts of either direction, and
-    # the first mismatches met.
-    without_valid = without_property = 0
-    firsts: list[Row] = []
+    totals = [0, 0]  # weighted mismatches without validity, without the property
     pool_context = nullcontext()
     if workers > 1 and symmetric:
         from concurrent.futures import ProcessPoolExecutor
@@ -732,38 +704,40 @@ def correspondence_check(
         run = map if pool is None else pool.map
         for n in range(1, max_worlds + 1):
             _check_deadline(deadline)
-            if symmetric:
-                parts = chain.from_iterable(_orbit_parts(n, len(variables), orbit_key, ramp=False))
-                checked, found = 0, []
-                for part_checked, (a, b), part_firsts in run(_orbit_chunk, (
-                    (prop, program, variables, n, part, selected, max_valuations, deadline)
-                    for part in parts
-                )):
-                    checked += part_checked
-                    without_valid += a
-                    without_property += b
-                    found += part_firsts
-                    if keep_rows and found:
-                        break
-                if not (keep_rows and found):
-                    report.frames_checked += checked
-                    firsts += found
-                    continue
             total_bits = 1 << (n * n)
             step = 1 << (max(1, total_bits // (workers * 4)).bit_length() - 1)
-            for checked, rows in run(_correspondence_chunk, (
-                (prop, program, variables, n, range(lo, min(lo + step, total_bits)), selected,
-                 max_valuations, deadline)
-                for lo in range(0, total_bits, step)
-            )):
-                report.frames_checked += checked
-                report.rows.extend(rows)
+            labellings = ((labels, 1) for labels in product("ABC", repeat=n))
+            every_frame = _every_relation(n, step, labellings, ramp=False)
+            orbits = _orbit_parts(n, len(variables), orbit_key, ramp=False)
+            if keep_rows:
+                # The orbit pass then keeps no rows and only looks for a
+                # mismatch, so one part per group lets it stop soonest.
+                orbits = ([part] for group in orbits for part in group)
+            for groups in (orbits, every_frame) if symmetric else (every_frame,):
+                # A pass run to its end gives the world count's counts and
+                # rows; with rows, a mismatch stops the orbit pass and the
+                # frame-by-frame pass lists them.
+                every_row = keep_rows and groups is every_frame
+                checked, counts, found = 0, [0, 0], []
+                for group_checked, group_counts, group_rows in run(_check_group, (
+                    (prop, program, variables, n, group, selected, max_valuations, every_row,
+                     deadline)
+                    for group in groups
+                )):
+                    checked += group_checked
+                    counts = [x + y for x, y in zip(counts, group_counts)]
+                    found += group_rows
+                    if keep_rows and not every_row and found:
+                        break
+                else:
+                    report.frames_checked += checked
+                    totals = [x + y for x, y in zip(totals, counts)]
+                    report.rows += found
+                    break
     rows = report.rows
     if not keep_rows:
-        direct = sum(1 for row in rows if row[4].__class__ is int)
-        report.totals = {"property_without_valid": without_valid + direct,
-                         "valid_without_property": without_property + len(rows) - direct}
-        _recheck(firsts + rows, len(selected), prop, formula, variables)
+        report.totals = dict(zip(("property_without_valid", "valid_without_property"), totals))
+        _recheck(rows, len(selected), prop, formula, variables)
         report.rows = []
         return report
     # The frame encoding sorts as a string, "2:10:AB" before "2:1:AB": by
@@ -871,7 +845,8 @@ def _countermodel_scan(
                 seen += count
                 continue
         labellings = ((labels, 1) for labels in product("ABC", repeat=n))
-        model, count = scan(n, _every_relation(n, len(var_names), labellings), limit - seen)
+        width = relation_chunk_width(n, len(var_names))
+        model, count = scan(n, _every_relation(n, width, labellings), limit - seen)
         seen += count
         if seen > limit:
             raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface and its exit statuses."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mlml import frames
 from mlml.cli import main
 from mlml.proofs import derivation_to_dict, load_bundled_corpus
 
@@ -172,7 +174,12 @@ def test_correspond_workers_flag(capsys):
 
 
 @pytest.mark.parametrize("budget", [("--time-budget", "0.01"), ("--max-frames", "100")])
-def test_correspond_workers_honour_budgets(capsys, budget):
+def test_correspond_workers_honour_budgets(capsys, monkeypatch, budget):
+    if budget[0] == "--time-budget":
+        # Each read of the clock is a second after the last, so the deadline
+        # has passed at the first check however fast the host is.
+        ticks = itertools.count()
+        monkeypatch.setattr(frames.time, "monotonic", lambda: float(next(ticks)))
     code, out, err = run(capsys, "correspond", "--property", "reflexive",
                          "--formula", "[]p -> p", "--max-worlds", "3",
                          "--workers", "2", *budget)

@@ -5,9 +5,9 @@ representatives only, each frame weighted by the size of its orbit.  The
 weighted counts are compared with the rows of the frame-by-frame check,
 which a property outside the table always gets, and a spy on the sweeps
 shows that a clean criterion sweeps the representatives only.  The per-block
-reduction `FrameSweep.relations_meeting` is compared with a per-block
-reference on aligned ranges and tuples, for blocks narrower and wider than a
-byte.
+readers `FrameSweep.relations_meeting` and `lowest_indices` are compared
+with a per-block reference and with `lowest_index` on aligned ranges and
+tuples, for blocks narrower and wider than a byte.
 """
 
 import functools
@@ -38,6 +38,10 @@ CRITERIA = (
 E1, E2, E3 = ULTRAFILTERS
 ULTRAFILTER_SETS = ((E1, E2, E3), (E1,), (E2,), (E3,), (E1, E3))
 
+# Criteria 3, 7 and 8b, which mismatch at three worlds: their reports with
+# two workers are compared too.
+POOLED = (CRITERIA[1], CRITERIA[6], CRITERIA[8])
+
 
 def frame_by_frame(name: str) -> FrameProperty:
     """The property under a finder outside PROPERTIES, with the same
@@ -63,13 +67,20 @@ def test_weighted_totals_count_the_unreduced_rows(unreduced_rows, name, formula)
         for n in (1, 2, 3):
             kept = [row for row in rows if row[0] <= n and row[3] in selected]
             without_valid = sum(1 for row in kept if isinstance(row[4], int))
-            report = correspondence_check(name, formula, n, selected, keep_rows=False)
-            assert report.rows == [] and not report.mismatches
-            assert report.totals == {"property_without_valid": without_valid,
-                                     "valid_without_property": len(kept) - without_valid}
-            assert report.mismatch_count == len(kept)
-            assert report.clean == (not kept)
-            assert report.frames_checked == sum(count_frames(k) for k in range(1, n + 1))
+            reports = [correspondence_check(name, formula, n, selected, keep_rows=False)]
+            if n == 3 and selected == ULTRAFILTER_SETS[0] and (name, formula) in POOLED:
+                reports.append(correspondence_check(name, formula, n, selected, workers=2,
+                                                    keep_rows=False))
+                if (name, formula) == POOLED[0]:  # outside the table: no orbit pass
+                    reports.append(correspondence_check(frame_by_frame(name), formula, n,
+                                                        selected, keep_rows=False))
+            for report in reports:
+                assert report.rows == [] and not report.mismatches
+                assert report.totals == {"property_without_valid": without_valid,
+                                         "valid_without_property": len(kept) - without_valid}
+                assert report.mismatch_count == len(kept)
+                assert report.clean == (not kept)
+                assert report.frames_checked == sum(count_frames(k) for k in range(1, n + 1))
 
 
 @pytest.mark.parametrize("name,formula", CRITERIA)
@@ -78,6 +89,10 @@ def test_rows_match_the_unreduced_rows(unreduced_rows, name, formula):
     assert report.rows == unreduced_rows[name, formula]
     assert report.totals is None
     assert report.mismatch_count == len(report.rows)
+    if (name, formula) in POOLED:
+        pooled = correspondence_check(name, formula, 3, workers=2)
+        assert pooled.rows == report.rows and pooled.totals is None
+        assert list(pooled.csv_rows()) == list(report.csv_rows())
 
 
 def test_clean_criterion_sweeps_only_representatives(monkeypatch):
@@ -186,3 +201,12 @@ def test_relations_meeting_matches_a_per_block_reference(case):
     expected = sum(1 << r for r in range(len(sweep.relations))
                    if mask >> (block * r) & ((1 << block) - 1))
     assert sweep.relations_meeting(mask) == expected
+
+
+@given(meeting_cases())
+@settings(max_examples=300, deadline=None)
+def test_lowest_indices_match_lowest_index(case):
+    sweep, mask = case
+    relations = range(len(sweep.relations))
+    assert sweep.lowest_indices(mask, relations) == [sweep.lowest_index(mask, r)
+                                                     for r in relations]
