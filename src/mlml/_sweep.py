@@ -3,10 +3,18 @@
 Checking frame validity means evaluating a formula under every valuation of
 the frame, and the correspondence harness does that for tens of thousands of
 frames.  Rather than recurse once per valuation, this module packs the whole
-valuation space into big integers: valuation i's value at a world occupies
-bits [3*i, 3*i+3) of one Python int per world.  Meet, join and complement are
-then single bitwise operations on those integers, and the ball and
-down-interpretation operators reduce to a handful of shifts and masks.
+valuation space into big integers, one Python int per world, bit-sliced by
+atom: with G groups (one per valuation, or per (relation, valuation) pair of
+a chunk), bits [k*G, (k+1)*G) form plane k, whose bit g says whether group
+g's element contains atom e(k+1).  An ultrafilter designates exactly the
+elements that contain its generator, so plane k is the designation mask under
+the ultrafilter that e(k+1) generates.  Meet, join and complement are single
+bitwise operations on the whole int.  Ball compares the three plane slices:
+a group is crisp where they agree, and the crisp mask is copied back to all
+three planes.  Down-interpretation into a label keeps the plane of its atom
+and puts the meet of the other two planes, its coatom, in both of theirs.
+Validity under an ultrafilter is the meet of the world values, then one plane
+slice, and every mask holds one bit per group.
 
 Valuations are indexed in lexicographic order over slots (world, variable),
 worlds in frame order and variables as supplied, with slot 0 most
@@ -33,14 +41,16 @@ The correspondence battery and the countermodel search pack the relation
 axis as well.  A sweep over a `RelationChunk` covers one labelling of n
 worlds and R relation bitmasks, R a power of two: a power-of-two-aligned
 range, or a sorted tuple such as the search's canonical relations of an
-orbit representative (see _orbits).  The layout is relation-major:
-relation r's N valuations occupy groups [r*N, (r+1)*N) of every operand.
+orbit representative (see _orbits).  The groups are relation-major within
+each plane: relation r's N valuations occupy groups [r*N, (r+1)*N).
 A single `Frame` is swept as the one-relation chunk of its own bitmask,
 `relation_bits`.  `edge_masks` gives each edge w->u as the mask of the
-relations that have it, and box joins the successor's down-interpreted
-value with the all-ones block of every relation lacking the edge before the
+relations that have it, and box joins the successor's value with the
+all-ones block, in every plane, of each relation lacking the edge before the
 meet.  For an edge that every relation has, as each edge of a single frame,
-that block is empty; an edge none has is left out.
+that block is empty; an edge none has is left out.  Down-interpretation
+preserves meets and is the identity on a world's own carrier, so box
+down-interprets the meet once per world, not each successor's value.
 `relation_chunk_width` keeps R*N at most 2**16 groups.
 
 The definitional single-model evaluator lives in kripke.py; the test suite
@@ -63,15 +73,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_MAX_VALUATIONS = 4 ** 10
 
-# Per lattice label: the bit carrying its single-atom middle element and the
-# two bits of its coatom middle element.
-_DOWN_SHAPE = {
+# Per lattice label: the plane of its single-atom middle element and the two
+# planes of its coatom middle element.
+_DOWN_PLANES = {
     "A": (0, 1, 2),
     "B": (1, 0, 2),
     "C": (2, 0, 1),
 }
 
-_GENERATOR_BIT = {E1: 0, E2: 1, E3: 2}
+_GENERATOR_PLANE = {E1: 0, E2: 1, E3: 2}
 
 # A block's top byte, with only its top bit possibly set, as a binary digit.
 _TOP_BYTE_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
@@ -163,13 +173,13 @@ def compile_formula(f: Formula) -> Program:
 # ---------------------------------------------------------------------------
 
 
-def _replicate(block: int, block_groups: int, copies: int) -> int:
-    """Concatenate `copies` copies of a block of 3-bit groups (copies is a power of two)."""
+def _replicate(block: int, block_bits: int, copies: int) -> int:
+    """Concatenate `copies` copies of a block of bits (copies is a power of two)."""
     value = block
-    span = block_groups
-    total = block_groups * copies
+    span = block_bits
+    total = block_bits * copies
     while span < total:
-        value |= value << (3 * span)
+        value |= value << span
         span *= 2
     return value
 
@@ -181,11 +191,15 @@ def _var_vector(slot_count: int, slot: int, domain: tuple[int, ...], relations: 
     repeated for each of `relations` relations (a power of two)."""
     base = len(domain)
     run = base ** (slot_count - 1 - slot)
-    run_ones = ((1 << (3 * run)) - 1) // 7
-    block = 0
-    for digit, value in enumerate(domain):
-        block |= (value * run_ones) << (3 * run * digit)
-    return _replicate(block, run * base, base ** slot * relations)
+    groups = base ** slot_count * relations
+    value = 0
+    for plane in range(3):
+        block = 0
+        for digit, element in enumerate(domain):
+            if element >> plane & 1:
+                block |= ((1 << run) - 1) << (run * digit)
+        value |= _replicate(block, run * base, base ** slot * relations) << (plane * groups)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +315,10 @@ class FrameSweep:
     """All valuations of one frame, or of every frame in a RelationChunk,
     evaluated in parallel.
 
-    Masks and values hold one 3-bit group per valuation of the frame, or per
-    (relation, valuation) pair of the chunk, relation-major; valuation
-    indices, as `decode_valuation` reads them, count within one relation.
+    Values hold three planes of one bit per group, and masks one plane: a
+    group per valuation of the frame, or per (relation, valuation) pair of
+    the chunk, relation-major; valuation indices, as `decode_valuation`
+    reads them, count within one relation.
 
     With binary=True each slot ranges over {0, 1} instead of the world's full
     carrier, which is the classical-fragment comparison mode.
@@ -334,56 +349,65 @@ class FrameSweep:
             raise ResourceBudgetExceeded(
                 f"{self.valuation_count} valuations exceed the cap of {max_valuations}"
             )
-        block_bits = 3 * self.valuation_count
-        self._block_full = (1 << block_bits) - 1
-        self._full = full = (1 << (block_bits * len(self.relations))) - 1
-        self._ones = full // 7
+        self._block_full = (1 << self.valuation_count) - 1
+        self._groups = groups = self.valuation_count * len(self.relations)
+        self._ones = ones = (1 << groups) - 1
+        self._full = (1 << (3 * groups)) - 1
+        # Per world: the plane mask of its atom and the shifts to the planes
+        # of its coatom, for down-interpretation into its carrier.
+        self._down = []
+        for label in labels:
+            atom, co_lo, co_hi = _DOWN_PLANES[label]
+            self._down.append((ones << (atom * groups), co_lo * groups, co_hi * groups))
         # Per world: (successor, off) in its own lattice and in the others,
-        # off the all-ones block of each relation lacking the edge.
+        # off the all-ones block, in every plane, of each relation lacking
+        # the edge.
         n = len(worlds)
         self._same: list[list[tuple[int, int]]] = [[] for _ in worlds]
         self._diff: list[list[tuple[int, int]]] = [[] for _ in worlds]
         self._no_succ: list[list] = [[]] * n
-        for bit, has in enumerate(edge_masks(self.relations, n * n, block_bits)):
+        for bit, has in enumerate(edge_masks(self.relations, n * n, self.valuation_count)):
             if has:
                 wi, ui = divmod(bit, n)
                 successors = self._same if labels[wi] == labels[ui] else self._diff
-                successors[wi].append((ui, full ^ has))
+                off = ones ^ has
+                successors[wi].append((ui, off | off << groups | off << (2 * groups)))
         # Interned results: (op, argument ids) -> id, and id -> per-world values.
         self._ids: dict[tuple[int, object, int], int] = {}
         self._results: list[list[int]] = []
         self._last: tuple[object, list[int]] | None = None
-        # Built by the first relations_meeting: each block's top bit, and
-        # 2**(B-1) - 1 in each B-bit block.
-        self._block_tops: tuple[int, int] | None = None
+        # Built by the first relations_meeting: each block's top bit, every
+        # other bit, and 2**(B-1) - 1 in each B-bit block.
+        self._block_tops: tuple[int, int, int] | None = None
 
     # -- packed operators ---------------------------------------------------
 
     def _ball(self, v: int) -> int:
-        ones = self._ones
-        w = v ^ self._full
-        crisp = (v & (v >> 1) & (v >> 2) & ones) | (w & (w >> 1) & (w >> 2) & ones)
-        return crisp * 7
+        groups, ones = self._groups, self._ones
+        # Planes 0 and 1 of x: e1 ^ e2 and e2 ^ e3; a group is crisp, 0 or
+        # 1, where neither is set.
+        x = v ^ (v >> groups)
+        crisp = ((x | (x >> groups)) & ones) ^ ones
+        return crisp | crisp << groups | crisp << (2 * groups)
 
     def _box(self, sub: list[int], same: list[list], diff: list[list]) -> list[int]:
         """Per world: the meet over the listed (successor, off) pairs of the
-        successor's value, down-interpreted into the world's carrier, joined
-        with off.  A same-lattice value already lies in that carrier, where
-        down-interpretation is the identity."""
+        successor's value joined with off, down-interpreted into the world's
+        carrier.  Down-interpretation preserves meets, keeps the 0 or 1 of
+        off in each group, and is the identity on the carrier, where a
+        same-lattice value already lies, so the meet is down-interpreted
+        once, and only when it has a value from another lattice."""
         ones = self._ones
         out = []
-        for label, same_targets, diff_targets in zip(self._labels, same, diff):
+        for (atoms, co_lo, co_hi), same_targets, diff_targets in zip(self._down, same, diff):
             acc = self._full
             for ui, off in same_targets:
                 acc &= sub[ui] | off if off else sub[ui]
             if diff_targets:
-                atom_bit, co_lo, co_hi = _DOWN_SHAPE[label]
-                atoms = ones << atom_bit
                 for ui, off in diff_targets:
-                    v = sub[ui]
-                    pair = (v >> co_lo) & (v >> co_hi) & ones
-                    v = (v & atoms) | (pair << co_lo) | (pair << co_hi)
-                    acc &= v | off if off else v
+                    acc &= sub[ui] | off if off else sub[ui]
+                coatom = (acc >> co_lo) & (acc >> co_hi) & ones
+                acc = (acc & atoms) | (coatom << co_lo) | (coatom << co_hi)
             out.append(acc)
         return out
 
@@ -401,7 +425,8 @@ class FrameSweep:
     def apply(self, op: int, a=None, b=None) -> list[int]:
         """Per-world values of one instruction: a is the variable name for
         VAR, else the per-world values of the operand, and b those of the
-        second operand of AND and OR."""
+        second operand of AND and OR.  Each operand's value at a world lies
+        in the world's carrier, as every instruction's does."""
         full = self._full
         if op == VAR:
             return self._variable(a)
@@ -456,27 +481,31 @@ class FrameSweep:
 
     @property
     def ones_mask(self) -> int:
-        """Group-aligned all-valuations mask (bit 3*i set for valuation i)."""
+        """The all-groups mask (bit g set for every group g)."""
         return self._ones
 
     def designated_mask(self, f: Union[Formula, Program], u: Ultrafilter) -> list[int]:
-        """Per world: mask whose bit 3*i is set iff valuation i makes f hold
+        """Per world: mask whose bit i is set iff valuation i makes f hold
         at that world."""
-        bit = _GENERATOR_BIT[u.generator]
-        return [(v >> bit) & self._ones for v in self.values(f)]
+        shift = _GENERATOR_PLANE[u.generator] * self._groups
+        return [(v >> shift) & self._ones for v in self.values(f)]
 
     def valid_mask(self, f: Union[Formula, Program], u: Ultrafilter) -> int:
-        """Group-aligned mask whose bit 3*i is set iff valuation i makes f
-        hold at every world."""
-        return self.valid_mask_of(self.values(f), u)
+        """Mask whose bit i is set iff valuation i makes f hold at every
+        world."""
+        return self.valid_masks_of(self.values(f), (u,))[0]
 
-    def valid_mask_of(self, values: Sequence[int], u: Ultrafilter) -> int:
-        """valid_mask of per-world values, as `values` or `apply` give them."""
-        bit = _GENERATOR_BIT[u.generator]
-        mask = self._ones
+    def valid_masks_of(
+        self, values: Sequence[int], ultrafilters: Iterable[Ultrafilter]
+    ) -> list[int]:
+        """valid_mask of per-world values, as `values` or `apply` give them,
+        under each of the ultrafilters: one meet of the values, then a plane
+        slice per ultrafilter."""
+        meet = self._full
         for v in values:
-            mask &= v >> bit
-        return mask
+            meet &= v
+        return [(meet >> (_GENERATOR_PLANE[u.generator] * self._groups)) & self._ones
+                for u in ultrafilters]
 
     def is_frame_valid(self, f: Union[Formula, Program], u: Ultrafilter) -> bool:
         return self.valid_mask(f, u) == self._ones
@@ -487,8 +516,8 @@ class FrameSweep:
         goal: Union[Formula, Program],
         u: Ultrafilter,
     ) -> int:
-        """Group-aligned mask of the valuations globally satisfying every
-        premise but not the goal."""
+        """Mask of the valuations globally satisfying every premise but not
+        the goal."""
         mask = self._ones
         for premise in premises:
             mask &= self.valid_mask(premise, u)
@@ -512,26 +541,26 @@ class FrameSweep:
     # -- per-relation reductions of a chunk -----------------------------------
 
     def relations_meeting(self, mask: int) -> int:
-        """Bit r set iff the group-aligned mask has a bit in the block of the
-        chunk's r-th relation.
+        """Bit r set iff the mask has a bit in the block of the chunk's r-th
+        relation.
 
-        A block of B bits holds group-aligned bits below bit B - 2, so adding
-        2**(B-1) - 1 to it sets its top bit iff it is nonzero, and never
-        carries out of it: one addition tests every block, and the top bits
-        are read off one byte per block, or off the binary digits where a
-        block is not whole bytes."""
+        Adding 2**(B-1) - 1 to a B-bit block with its top bit cleared sets
+        that bit iff the rest of the block is nonzero, and never carries out
+        of it: one addition tests every block, the block's own top bit is
+        joined in, and the top bits are read off one byte per block, or off
+        the binary digits where a block is not whole bytes."""
         if not mask:
             return 0
-        block = 3 * self.valuation_count
+        block = self.valuation_count
         if self._block_tops is None:
             lanes, span, total = 1, block, block * len(self.relations)
             while span < total:
                 lanes |= lanes << span
                 span *= 2
             high = lanes << (block - 1)
-            self._block_tops = (high, high - lanes)
-        high, below_high = self._block_tops
-        tops = (mask + below_high) & high
+            self._block_tops = (high, self._ones ^ high, high - lanes)
+        high, low, below_high = self._block_tops
+        tops = (mask | ((mask & low) + below_high)) & high
         if block % 8:
             return int(format(tops, f"0{block * len(self.relations)}b")[::block], 2)
         size = block // 8
@@ -541,10 +570,10 @@ class FrameSweep:
     def lowest_index(self, mask: int, relation: int) -> int | None:
         """Lowest valuation index with its bit set in the block of the
         chunk's given relation, or None."""
-        block = (mask >> (3 * self.valuation_count * relation)) & self._block_full
+        block = (mask >> (self.valuation_count * relation)) & self._block_full
         if block == 0:
             return None
-        return ((block & -block).bit_length() - 1) // 3
+        return (block & -block).bit_length() - 1
 
     def lowest_indices(self, mask: int, relations: Sequence[int]) -> list[int | None]:
         """lowest_index of the mask for each of the given relations of the
@@ -552,7 +581,7 @@ class FrameSweep:
         shifts of it, so from 16 relations on, each whole-byte block is read
         off one little-endian byte string of the mask instead of a shift of
         the whole mask per relation."""
-        block = 3 * self.valuation_count
+        block = self.valuation_count
         if len(relations) < 16 or block % 8:
             return [self.lowest_index(mask, r) for r in relations]
         size = block // 8
@@ -560,7 +589,7 @@ class FrameSweep:
         found = []
         for r in relations:
             bits = int.from_bytes(data[size * r:size * (r + 1)], "little")
-            found.append(((bits & -bits).bit_length() - 1) // 3 if bits else None)
+            found.append((bits & -bits).bit_length() - 1 if bits else None)
         return found
 
     def decode_valuation(self, index: int) -> dict[tuple[str, str], int]:

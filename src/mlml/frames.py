@@ -28,9 +28,10 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -594,6 +595,24 @@ def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
     return checked, counts, rows
 
 
+def _submitted(pool, fn: Callable, jobs: Iterable, ahead: int) -> Iterator:
+    """fn over the jobs through the pool, results in job order, with at
+    most `ahead` jobs submitted and not yet read: the next job is submitted
+    as each result is read.  Closing the iterator, as a `for` loop that
+    breaks out of it does, cancels the submitted jobs that have not
+    started."""
+    jobs = iter(jobs)
+    pending = deque(pool.submit(fn, job) for job in islice(jobs, ahead))
+    try:
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, job) for job in islice(jobs, 1))
+            yield result
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _recheck(
     rows: Iterable[Row],
     ultrafilters: int,
@@ -667,7 +686,9 @@ def correspondence_check(
     per-frame sweep would find it.  Any other property gets the
     frame-by-frame pass at every world count, in this process.  The jobs
     run in this process when workers == 1 and across one process pool
-    otherwise, and honour the frame and time budgets.
+    otherwise, at most 2 * workers of them submitted ahead of the results
+    read, and a pass that stops cancels those not started; they honour the
+    frame and time budgets.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -701,7 +722,7 @@ def correspondence_check(
 
         pool_context = ProcessPoolExecutor(max_workers=workers)
     with pool_context as pool:
-        run = map if pool is None else pool.map
+        run = map if pool is None else partial(_submitted, pool, ahead=2 * workers)
         for n in range(1, max_worlds + 1):
             _check_deadline(deadline)
             total_bits = 1 << (n * n)
@@ -974,15 +995,18 @@ def _semantic_classes(
 
     Formulas of one class can replace each other as subformulas, so level d
     applies ~, @ and [] to the classes new at level d-1 and & to those new
-    at levels i and d-1-i, and keeps what is not yet seen.
+    at levels i and d-1-i, and keeps what is not yet seen.  & is
+    commutative and idempotent, so it takes only i <= d-1-i, and when the
+    two levels are one, pairs each class only with those after it.
     """
     def candidates(d: int) -> Iterator[list[list[int]]]:
         for x in levels[d - 1]:
             for op in (NOT, BALL, BOX):
                 yield [sweep.apply(op, v) for sweep, v in zip(sweeps, x)]
-        for i in range(d):
-            for x in levels[i]:
-                for y in levels[d - 1 - i]:
+        for i in range((d + 1) // 2):
+            right = levels[d - 1 - i]
+            for k, x in enumerate(levels[i]):
+                for y in right[k + 1:] if i == d - 1 - i else right:
                     yield [sweep.apply(AND, v, w) for sweep, v, w in zip(sweeps, x, y)]
 
     p = tuple(tuple(sweep.apply(VAR, "p")) for sweep in sweeps)
@@ -993,13 +1017,14 @@ def _semantic_classes(
         new = []
         for values in candidates(d):
             c = tuple(map(tuple, values))
-            if c in seen:
+            size = len(seen)
+            seen.add(c)  # hashes c once, where `c in seen` would hash it again
+            if len(seen) == size:
                 continue
-            if len(seen) == MAX_SEMANTIC_CLASSES:
+            if size == MAX_SEMANTIC_CLASSES:
                 raise ResourceBudgetExceeded(
                     f"more than {MAX_SEMANTIC_CLASSES} semantic classes at corpus depth {d}"
                 )
-            seen.add(c)
             new.append(c)
             yield c
         levels.append(new)
@@ -1011,11 +1036,10 @@ def _classes_split(
     """Whether some class is valid on one sweep's frame but not the other's
     under a selected ultrafilter."""
     for values in _semantic_classes(sweeps, depth):
-        for u in selected:
-            verdicts = {sweep.valid_mask_of(v, u) == sweep.ones_mask
-                        for sweep, v in zip(sweeps, values)}
-            if len(verdicts) > 1:
-                return True
+        valid = [[mask == sweep.ones_mask for mask in sweep.valid_masks_of(v, selected)]
+                 for sweep, v in zip(sweeps, values)]
+        if any(verdicts != valid[0] for verdicts in valid):
+            return True
     return False
 
 

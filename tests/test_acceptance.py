@@ -57,6 +57,7 @@ from mlml.syntax import (
     parse,
     variables,
 )
+from packed_layout import group, mask_of
 
 CRITERIA_FORMULAS = [
     "[]p -> p",
@@ -279,9 +280,10 @@ def test_criterion_11_local_k_agreement():
                 if bits >> (i * n + j) & 1
             )
             reference = Frame(worlds, relation, {w: "A" for w in worlds})
-            # classical truth per (formula, world), packed over valuations in
-            # the sweep's slot order: world w_i holds bit (n-1-i) of the index
-            masks = [[0] * n for _ in corpus]
+            # classical truth per (formula, world): the indices, in the
+            # sweep's slot order, of the valuations where the formula holds;
+            # world w_i holds bit (n-1-i) of the index
+            holding = [[[] for _ in range(n)] for _ in corpus]
             for index in range(1 << n):
                 valuation = {
                     (worlds[i], "p"): bool(index >> (n - 1 - i) & 1)
@@ -290,14 +292,15 @@ def test_criterion_11_local_k_agreement():
                 for fi, f in enumerate(corpus):
                     for wi, w in enumerate(worlds):
                         if classical_reference_eval(reference, valuation, w, f):
-                            masks[fi][wi] |= 1 << (3 * index)
+                            holding[fi][wi].append(index)
             for labels in product("ABC", repeat=n):
                 frame = Frame(worlds, relation, dict(zip(worlds, labels)))
                 sweep = FrameSweep(frame, ("p",), binary=True)
                 for fi, f in enumerate(corpus):
                     designated = sweep.designated_mask(f, ULTRAFILTERS[0])
                     for wi in range(n):
-                        assert designated[wi] == masks[fi][wi], (
+                        expected = mask_of(group(sweep, index) for index in holding[fi][wi])
+                        assert designated[wi] == expected, (
                             format_formula(f), frame.lattice_of, bits)
                 checked += 1
                 # occasionally re-verify through the scalar evaluator

@@ -7,10 +7,13 @@ which a property outside the table always gets, and a spy on the sweeps
 shows that a clean criterion sweeps the representatives only.  The per-block
 readers `FrameSweep.relations_meeting` and `lowest_indices` are compared
 with a per-block reference and with `lowest_index` on aligned ranges and
-tuples, for blocks narrower and wider than a byte.
+tuples, for blocks narrower and wider than a byte.  The pool's submission
+window, `frames._submitted`, is checked on a thread pool.
 """
 
 import functools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from mlml._sweep import FrameSweep, RelationChunk
 from mlml.algebra import ULTRAFILTERS
 from mlml.cli import main
 from mlml.frames import PROPERTIES, FrameProperty, correspondence_check, count_frames
+from packed_layout import group, mask_of, relation_block
 
 # The nine correspondences of the acceptance battery.
 CRITERIA = (
@@ -180,26 +184,26 @@ def meeting_cases(draw):
                                                min_size=count, max_size=count))))
     sweep = FrameSweep(RelationChunk(worlds, labels, relations), ("p", "q")[:variables],
                        binary=binary)
-    block = 3 * sweep.valuation_count
-    mask = 0
+    size = sweep.valuation_count
+    groups = []
     for r in range(count):
         kind = draw(st.sampled_from(("empty", "one", "full", "random")))
         if kind == "one":
-            mask |= 1 << (block * r + 3 * draw(st.integers(0, sweep.valuation_count - 1)))
+            groups.append(group(sweep, draw(st.integers(0, size - 1)), r))
         elif kind == "full":
-            mask |= ((1 << block) - 1) // 7 << (block * r)
+            groups += (group(sweep, i, r) for i in range(size))
         elif kind == "random":
-            mask |= (draw(st.integers(0, (1 << block) - 1)) & ((1 << block) - 1) // 7) << (block * r)
-    return sweep, mask
+            bits = draw(st.integers(0, (1 << size) - 1))
+            groups += (group(sweep, i, r) for i in range(size) if bits >> i & 1)
+    return sweep, mask_of(groups)
 
 
 @given(meeting_cases())
 @settings(max_examples=300, deadline=None)
 def test_relations_meeting_matches_a_per_block_reference(case):
     sweep, mask = case
-    block = 3 * sweep.valuation_count
     expected = sum(1 << r for r in range(len(sweep.relations))
-                   if mask >> (block * r) & ((1 << block) - 1))
+                   if relation_block(sweep, mask, r, planes=1))
     assert sweep.relations_meeting(mask) == expected
 
 
@@ -210,3 +214,34 @@ def test_lowest_indices_match_lowest_index(case):
     relations = range(len(sweep.relations))
     assert sweep.lowest_indices(mask, relations) == [sweep.lowest_index(mask, r)
                                                      for r in relations]
+
+
+# -- the pool's submission window ----------------------------------------------
+
+
+def test_submitted_keeps_order_and_cancels_what_a_break_leaves():
+    """`frames._submitted` gives the results in job order with at most
+    `ahead` jobs submitted and not yet read; breaking out of it cancels
+    those not started."""
+    pulled, ran = [], []
+    release = threading.Event()
+
+    def jobs():
+        for k in range(100):
+            pulled.append(k)
+            yield k
+
+    def work(k):
+        if k:
+            release.wait(10)  # holds job 1, so jobs 2 to 4 wait in the pool
+        ran.append(k)
+        return k * k
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert list(frames._submitted(pool, abs, range(-50, 0), 4)) == list(range(50, 0, -1))
+        for result in frames._submitted(pool, work, jobs(), 4):
+            break
+        release.set()
+    assert result == 0
+    assert pulled == list(range(5))
+    assert ran in ([0], [0, 1])

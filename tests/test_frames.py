@@ -24,6 +24,7 @@ from mlml.frames import (
 from mlml._sweep import ResourceBudgetExceeded
 from mlml.kripke import Frame, Model, model_valid
 from mlml.syntax import parse
+from packed_layout import group, mask_at
 
 
 def frame2(edges, labels=("A", "A")):
@@ -230,7 +231,7 @@ def test_sweep_matches_scalar_on_seven_world_fixture():
             mask = sweep.valid_mask(f, u)
             for index in (0, 1, 4097, 9000, sweep.valuation_count - 1):
                 model = Model(frame, sweep.decode_valuation(index), u)
-                assert bool(mask >> (3 * index) & 1) == model_valid(model, f)
+                assert mask_at(mask, group(sweep, index)) == model_valid(model, f)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from mlml.kripke import (
 )
 from mlml.syntax import Ball, Box, Diamond, Var, generate_corpus, parse, variables
 
+from packed_layout import element_at, group
 from test_sweep import _formulas, frames
 
 P = Var("p")
@@ -167,7 +168,7 @@ def test_sweep_agrees_with_definitional_evaluator_exhaustively():
                 for f in formulas:
                     for wi, w in enumerate(frame.worlds):
                         expected = eval_formula(model, w, f)
-                        got = (packed[f][wi] >> (3 * index)) & 7
+                        got = element_at(sweep, packed[f][wi], group(sweep, index))
                         assert got == expected
 
 
@@ -182,7 +183,8 @@ def test_sweep_agrees_on_sampled_three_world_frames():
             for index in range(0, sweep.valuation_count, 5):
                 model = Model(frame, sweep.decode_valuation(index))
                 for wi, w in enumerate(frame.worlds):
-                    assert (packed[wi] >> (3 * index)) & 7 == eval_formula(model, w, f)
+                    assert (element_at(sweep, packed[wi], group(sweep, index))
+                            == eval_formula(model, w, f))
 
 
 def test_frame_valid_examples():

@@ -8,16 +8,30 @@ Sweeps over a chunk of relations, an aligned range or a sorted tuple, are
 compared, relation by relation, with the one-relation chunk of each frame
 and with `kripke.eval_formula`.  World
 names are drawn in shuffled order, so a frame's worlds need not be sorted.
+`FrameSweep.apply` is compared, operator by operator, with the scalar
+operators of `algebra` on random carrier values, and the per-block readers
+on blocks with only their last valuation set.
 """
+
+import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlml._sweep import FrameSweep, RelationChunk, compile_formula, relation_chunk_width
-from mlml.algebra import DEFAULT_ULTRAFILTER, ULTRAFILTERS
+from mlml._sweep import (
+    AND, BALL, BOX, BOX_DIFF, BOX_SAME, NOT, OR, FrameSweep, RelationChunk, compile_formula,
+    relation_chunk_width,
+)
+from mlml.algebra import (
+    DEFAULT_ULTRAFILTER, TOP, ULTRAFILTERS, ball, carrier, complement, down_interp, join, meet,
+)
 from mlml.kripke import Frame, Model, eval_formula, satisfies
 from mlml.syntax import (
     And, Ball, Bot, Box, BoxDiff, BoxSame, Diamond, Not, Or, Top, Var,
+)
+from packed_layout import (
+    element_at, group, group_count, mask_at, mask_of, pack, relation_block,
 )
 
 VARS = ("p", "q")
@@ -71,8 +85,9 @@ def _assert_agrees(sweep, formula, evaluated, indices):
         for u in ULTRAFILTERS:
             model = Model(frame, valuation, u)
             for wi, w in enumerate(frame.worlds):
-                assert (packed[wi] >> (3 * index)) & 7 == eval_formula(model, w, formula)
-                assert bool((masks[u][wi] >> (3 * index)) & 1) == satisfies(model, w, formula)
+                g = group(sweep, index)
+                assert element_at(sweep, packed[wi], g) == eval_formula(model, w, formula)
+                assert mask_at(masks[u][wi], g) == satisfies(model, w, formula)
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,18 +163,18 @@ def test_packed_chunk_matches_one_sweep_per_frame(case, indices):
     names, chunk, formula = case
     program = compile_formula(formula)
     sweep = FrameSweep(chunk, names)
-    block = 3 * sweep.valuation_count
     frames = [_frame(chunk.worlds, chunk.labels, bits) for bits in chunk.relations]
     singles = [FrameSweep(frame, names) for frame in frames]
     packed = sweep.values(program)
     for r, (frame, single) in enumerate(zip(frames, singles)):
-        values = [v >> (block * r) & ((1 << block) - 1) for v in packed]
+        values = [relation_block(sweep, v, r) for v in packed]
         assert values == single.values(program)
         for index in indices:
             index %= sweep.valuation_count
             model = Model(frame, sweep.decode_valuation(index), DEFAULT_ULTRAFILTER)
             for wi, w in enumerate(frame.worlds):
-                assert (values[wi] >> (3 * index)) & 7 == eval_formula(model, w, formula)
+                assert (element_at(single, values[wi], group(single, index))
+                        == eval_formula(model, w, formula))
     for u in ULTRAFILTERS:
         invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
         failing = sweep.relations_meeting(invalid)
@@ -179,7 +194,7 @@ def test_relation_reductions_read_every_valuation_of_every_relation(worlds, name
     count = sweep.valuation_count
     for r in range(len(chunk.relations)):
         for i in range(count):
-            mask = 1 << 3 * (r * count + i)
+            mask = mask_of([group(sweep, i, r)])
             assert sweep.relations_meeting(mask) == 1 << r
             assert sweep.lowest_index(mask, r) == i
             assert sweep.lowest_index(mask, r ^ 1) is None
@@ -207,3 +222,79 @@ def test_relation_tuple_must_be_sorted_and_a_power_of_two():
         with pytest.raises(ValueError):
             RelationChunk(worlds, labels, relations)
     assert RelationChunk(worlds, labels, (1, 5, 5, 9)).relations == (1, 5, 5, 9)
+
+
+# ---------------------------------------------------------------------------
+# Operators, one by one, against the scalar operators of algebra
+# ---------------------------------------------------------------------------
+
+
+def _scalar(op, label, successors, x, y):
+    """The value at a world of the given label of one instruction, from the
+    operands x and y at that world and the (label, operand) pairs of its
+    successors, by the definitional clauses."""
+    if op == NOT:
+        return down_interp(complement(x), label)
+    if op == AND:
+        return down_interp(meet(x, y), label)
+    if op == OR:
+        return down_interp(join(x, y), label)
+    if op == BALL:
+        return down_interp(ball(x), label)
+    value = TOP
+    for successor_label, v in successors:
+        if op == BOX or (op == BOX_SAME) == (successor_label == label):
+            value = meet(value, v if op == BOX_SAME else down_interp(v, label))
+    return value
+
+
+@pytest.mark.parametrize("labels", ["".join(pair) for pair in product("ABC", repeat=2)])
+def test_apply_matches_the_scalar_operators(labels):
+    """Every operator on random carrier values at two worlds of every label
+    pair, under every relation on them."""
+    rng = random.Random(labels)
+    chunk = RelationChunk(("w1", "w2"), tuple(labels), range(16))
+    sweep = FrameSweep(chunk, ("p",))
+    count = group_count(sweep)
+    a, b = ([[rng.choice(carrier(label)) for _ in range(count)] for label in labels]
+            for _ in range(2))
+    packed_a, packed_b = [pack(x) for x in a], [pack(y) for y in b]
+    for op in (NOT, BALL, AND, OR, BOX, BOX_SAME, BOX_DIFF):
+        out = sweep.apply(op, packed_a, packed_b)
+        for r, bits in enumerate(chunk.relations):
+            for index in range(sweep.valuation_count):
+                g = group(sweep, index, r)
+                for wi, label in enumerate(labels):
+                    successors = [(labels[ui], a[ui][g]) for ui in range(2)
+                                  if bits >> (wi * 2 + ui) & 1]
+                    expected = _scalar(op, label, successors, a[wi][g], b[wi][g])
+                    assert element_at(sweep, out[wi], g) == expected, (op, r, index, wi)
+
+
+# (worlds, variables, binary, relations): blocks of one valuation (no
+# variables), binary blocks of 2 and 4 valuations, not whole bytes, and
+# blocks of 8, 16 and 64 valuations, which lowest_indices reads off one byte
+# string from 16 relations on.
+READER_SHAPES = [
+    (1, (), False, 2), (2, (), False, 16), (1, ("p",), True, 2), (2, ("p",), True, 16),
+    (3, ("p",), True, 32), (2, ("p",), False, 16), (3, ("p",), False, 16),
+]
+
+
+@pytest.mark.parametrize("n, names, binary, count", READER_SHAPES)
+def test_reductions_read_a_block_with_only_its_last_valuation(n, names, binary, count):
+    worlds = tuple(f"w{i + 1}" for i in range(n))
+    chunk = RelationChunk(worlds, ("B",) * n, range(count))
+    sweep = FrameSweep(chunk, names, binary=binary)
+    last = sweep.valuation_count - 1
+    relations = range(count)
+    for r in relations:
+        mask = mask_of([group(sweep, last, r)])
+        assert sweep.relations_meeting(mask) == 1 << r
+        assert sweep.lowest_indices(mask, relations) == [last if s == r else None
+                                                         for s in relations]
+    every = mask_of(group(sweep, last, r) for r in relations)
+    assert sweep.relations_meeting(every) == (1 << count) - 1
+    assert sweep.lowest_indices(every, relations) == [last] * count
+    assert sweep.relations_meeting(sweep.ones_mask) == (1 << count) - 1
+    assert sweep.lowest_indices(sweep.ones_mask, relations) == [0] * count
