@@ -28,10 +28,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -595,24 +594,6 @@ def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
     return checked, counts, rows
 
 
-def _submitted(pool, fn: Callable, jobs: Iterable, ahead: int) -> Iterator:
-    """fn over the jobs through the pool, results in job order, with at
-    most `ahead` jobs submitted and not yet read: the next job is submitted
-    as each result is read.  Closing the iterator, as a `for` loop that
-    breaks out of it does, cancels the submitted jobs that have not
-    started."""
-    jobs = iter(jobs)
-    pending = deque(pool.submit(fn, job) for job in islice(jobs, ahead))
-    try:
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(fn, job) for job in islice(jobs, 1))
-            yield result
-    finally:
-        for future in pending:
-            future.cancel()
-
-
 def _recheck(
     rows: Iterable[Row],
     ultrafilters: int,
@@ -686,9 +667,7 @@ def correspondence_check(
     per-frame sweep would find it.  Any other property gets the
     frame-by-frame pass at every world count, in this process.  The jobs
     run in this process when workers == 1 and across one process pool
-    otherwise, at most 2 * workers of them submitted ahead of the results
-    read, and a pass that stops cancels those not started; they honour the
-    frame and time budgets.
+    otherwise, and honour the frame and time budgets.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -722,7 +701,7 @@ def correspondence_check(
 
         pool_context = ProcessPoolExecutor(max_workers=workers)
     with pool_context as pool:
-        run = map if pool is None else partial(_submitted, pool, ahead=2 * workers)
+        run = map if pool is None else pool.map
         for n in range(1, max_worlds + 1):
             _check_deadline(deadline)
             total_bits = 1 << (n * n)

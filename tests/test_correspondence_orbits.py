@@ -7,13 +7,10 @@ which a property outside the table always gets, and a spy on the sweeps
 shows that a clean criterion sweeps the representatives only.  The per-block
 readers `FrameSweep.relations_meeting` and `lowest_indices` are compared
 with a per-block reference and with `lowest_index` on aligned ranges and
-tuples, for blocks narrower and wider than a byte.  The pool's submission
-window, `frames._submitted`, is checked on a thread pool.
+tuples, for blocks narrower and wider than a byte.
 """
 
 import functools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,34 +211,3 @@ def test_lowest_indices_match_lowest_index(case):
     relations = range(len(sweep.relations))
     assert sweep.lowest_indices(mask, relations) == [sweep.lowest_index(mask, r)
                                                      for r in relations]
-
-
-# -- the pool's submission window ----------------------------------------------
-
-
-def test_submitted_keeps_order_and_cancels_what_a_break_leaves():
-    """`frames._submitted` gives the results in job order with at most
-    `ahead` jobs submitted and not yet read; breaking out of it cancels
-    those not started."""
-    pulled, ran = [], []
-    release = threading.Event()
-
-    def jobs():
-        for k in range(100):
-            pulled.append(k)
-            yield k
-
-    def work(k):
-        if k:
-            release.wait(10)  # holds job 1, so jobs 2 to 4 wait in the pool
-        ran.append(k)
-        return k * k
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        assert list(frames._submitted(pool, abs, range(-50, 0), 4)) == list(range(50, 0, -1))
-        for result in frames._submitted(pool, work, jobs(), 4):
-            break
-        release.set()
-    assert result == 0
-    assert pulled == list(range(5))
-    assert ran in ([0], [0, 1])
