@@ -514,16 +514,21 @@ class FrameSweep:
         self,
         premises: Iterable[Union[Formula, Program]],
         goal: Union[Formula, Program],
-        u: Ultrafilter,
-    ) -> int:
-        """Mask of the valuations globally satisfying every premise but not
-        the goal."""
-        mask = self._ones
+        ultrafilters: Sequence[Ultrafilter],
+    ) -> list[int]:
+        """Per ultrafilter: the mask of the valuations globally satisfying
+        every premise but not the goal.  Each program's values are met once,
+        as in `valid_masks_of`, and the goal is not evaluated once every
+        mask is empty."""
+        ones = self._ones
+        masks = [ones] * len(ultrafilters)
         for premise in premises:
-            mask &= self.valid_mask(premise, u)
-            if mask == 0:
-                return 0
-        return mask & (self.valid_mask(goal, u) ^ self._ones)
+            valid = self.valid_masks_of(self.values(premise), ultrafilters)
+            masks = [mask & v for mask, v in zip(masks, valid)]
+            if not any(masks):
+                return masks
+        valid = self.valid_masks_of(self.values(goal), ultrafilters)
+        return [mask & (v ^ ones) for mask, v in zip(masks, valid)]
 
     def countermodel_index(
         self,
@@ -533,7 +538,7 @@ class FrameSweep:
     ) -> int | None:
         """Lowest valuation index globally satisfying every premise but not
         the goal, or None; for a chunk, that of its first relation."""
-        return self.lowest_index(self.countermodel_mask(premises, goal, u), 0)
+        return self.lowest_index(self.countermodel_mask(premises, goal, (u,))[0], 0)
 
     def first_invalid_index(self, f: Union[Formula, Program], u: Ultrafilter) -> int | None:
         return self.countermodel_index((), f, u)

@@ -42,6 +42,7 @@ from ._sweep import (
     BALL,
     BOX,
     DEFAULT_MAX_VALUATIONS,
+    MAX_PACKED_GROUPS,
     NOT,
     VAR,
     FrameSweep,
@@ -399,6 +400,34 @@ def _orbit_parts(
     if width == 1 << (n * n):
         return _every_relation(n, width, _labelling_orbits(n, orbit_key), ramp)
     return _orbit_frames(n, variables, orbit_key, ramp)
+
+
+def _relation_blind_parts(
+    n: int, orbit_key: tuple[str, ...], prop: FrameProperty | None
+) -> list[list[_Part]]:
+    """For a judgment with no modality, whose value at a world depends on
+    that world's valuation alone, so that a labelled frame has a
+    countermodel iff every frame with its labelling does: the frames on n
+    worlds passing the property (or all, for None), as one group of one part
+    per orbit representative of `_labelling_orbits` with a passing
+    relation.  The part's chunk is the least passing relation, weighted by
+    the orbit's size times the number of passing relations; the property is
+    read off `relation_mask` over every relation, 2**16 at a time."""
+    worlds, total = _world_names(n), 1 << (n * n)
+    width = min(total, MAX_PACKED_GROUPS)
+    group = []
+    for labels, size in _labelling_orbits(n, orbit_key):
+        least, count = 0, total
+        if prop is not None:
+            least, count = None, 0
+            for lo in range(0, total, width):
+                mask = prop.relation_mask(worlds, labels, range(lo, lo + width))
+                if mask and least is None:
+                    least = lo + (mask & -mask).bit_length() - 1
+                count += mask.bit_count()
+        if count:
+            group.append((labels, range(least, least + 1), {size * count: 1}))
+    return [group]
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +802,9 @@ def _countermodel_scan(
     ultrafilters moving in step, maps a countermodel to a countermodel and
     keeps every property in PROPERTIES.  So with no filter or one of those,
     each world count is first scanned on the weighted orbit representatives
-    of `_orbit_parts`; every labelling and relation is scanned only where
-    they have a countermodel or pass the budget."""
+    of `_orbit_parts`, or, when no premise or goal has a modality, of
+    `_relation_blind_parts`, one relation each; every labelling and relation
+    is scanned only where they have a countermodel or pass the budget."""
     if getattr(frame_filter, "__func__", None) is FrameProperty.holds:
         frame_filter = frame_filter.__self__  # a bound `holds`, as the is_* aliases are
     symmetric = frame_filter is None or frame_filter in PROPERTIES.values()
@@ -782,6 +812,7 @@ def _countermodel_scan(
         predicate = frame_filter
         frame_filter = FrameProperty("filter", lambda frame: None if predicate(frame) else ())
     var_names = tuple(sorted(set().union(*(syntax.variables(g) for g in premises + (goal,)))))
+    modal_free = all(syntax.is_modal_free(g) for g in premises + (goal,))
     premise_programs = [compile_formula(p) for p in premises]
     goal_program = compile_formula(goal)
 
@@ -813,10 +844,10 @@ def _countermodel_scan(
                 labels, relations, _ = group[i]
                 sweep = FrameSweep(RelationChunk(worlds, labels, relations), var_names,
                                    max_valuations=max_valuations)
-                for u in selected:
+                for u, bad in zip(selected, sweep.countermodel_mask(
+                        premise_programs, goal_program, selected)):
                     if not allowed & below:
                         break
-                    bad = sweep.countermodel_mask(premise_programs, goal_program, u)
                     hits = bad and sweep.relations_meeting(bad) & allowed & below
                     if hits:
                         r = (hits & -hits).bit_length() - 1
@@ -840,7 +871,9 @@ def _countermodel_scan(
     limit, seen = math.inf if max_frames is None else max_frames, 0
     for n in range(1, max_worlds + 1):
         if symmetric:
-            model, count = scan(n, _orbit_parts(n, len(var_names), orbit_key), limit - seen)
+            parts = (_relation_blind_parts(n, orbit_key, frame_filter) if modal_free
+                     else _orbit_parts(n, len(var_names), orbit_key))
+            model, count = scan(n, parts, limit - seen)
             if model is None and seen + count <= limit:
                 seen += count
                 continue

@@ -246,13 +246,15 @@ def find_frame_countermodel(
 
     Every variable independently ranges over each world's four carrier
     values, so the sweep covers 4 ** (worlds * variables) models.  The
-    values do not depend on the ultrafilter, so one sweep serves them all.
+    values do not depend on the ultrafilter, so one sweep and one meet per
+    formula serve them all.
     """
     premises = tuple(premises)
     names = sorted(set(syntax.variables(f)).union(*map(syntax.variables, premises)))
     sweep = FrameSweep(frame, names, max_valuations=max_valuations)
-    for u in _resolve_ultrafilters(ultrafilter):
-        index = sweep.countermodel_index(premises, f, u)
+    selected = _resolve_ultrafilters(ultrafilter)
+    for u, mask in zip(selected, sweep.countermodel_mask(premises, f, selected)):
+        index = sweep.lowest_index(mask, 0)
         if index is not None:
             return _checked_countermodel(Model(frame, sweep.decode_valuation(index), u),
                                          premises, f)

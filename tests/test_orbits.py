@@ -104,7 +104,9 @@ def test_a_search_without_a_countermodel_sweeps_only_canonical_relations(monkeyp
         return sweep(chunk, *args, **kwargs)
 
     monkeypatch.setattr(frames, "FrameSweep", spy)
-    judgment = [parse("p"), parse("@p")], parse("@(p | q)")
+    # A judgment with a modality: one with none gets one relation per
+    # representative instead.
+    judgment = [parse("[]p"), parse("@[]p")], parse("@([]p | q)")
     assert countermodel_search(*judgment, 3, ULTRAFILTERS) is None
     assert len(swept) == 104 + 272 + 104 == 480
     assert swept == {(labels, r) for labels, _ in _labelling_orbits(3, ALL)
@@ -170,6 +172,6 @@ def test_a_search_whose_sweep_holds_a_labellings_relations_sweeps_them_all(monke
         return sweep(chunk, *args, **kwargs)
 
     monkeypatch.setattr(frames, "FrameSweep", spy)
-    assert countermodel_search([parse("@p")], parse("@~p"), 3, ULTRAFILTERS) is None
+    assert countermodel_search([parse("@[]p")], parse("@~[]p"), 3, ULTRAFILTERS) is None
     assert swept == {(labels, r) for labels, _ in _labelling_orbits(3, ALL) for r in range(512)}
     assert len(swept) == 3 * 512

@@ -11,7 +11,10 @@ the same model or raise the same exception with the same message.
 
 The search first sweeps one labelling per orbit of world renamings and atom
 permutations; the symmetry that makes this sound is checked here on every
-property and every frame with up to three worlds.
+property and every frame with up to three worlds.  A judgment with no
+modality gets one relation per orbit representative; random ones are
+compared with the frame-by-frame scan alone, which a filter that is no
+`FrameProperty` forces.
 """
 
 from itertools import permutations, product
@@ -30,7 +33,7 @@ from mlml.frames import (
     enumerate_frames,
 )
 from mlml.kripke import Model, countermodel_search
-from mlml.syntax import parse, variables
+from mlml.syntax import Ball, Not, parse, variables
 
 from test_sweep import _formulas
 
@@ -177,12 +180,13 @@ def test_a_bound_holds_filter_searches_on_the_clause_masks(monkeypatch):
 
 def test_a_search_without_a_countermodel_sweeps_the_orbit_representatives(monkeypatch):
     """One labelling per orbit for no filter and for a `PROPERTIES` entry,
-    every labelling for a property whose clauses single out a world."""
+    every labelling for a property whose clauses single out a world.  The
+    judgment has a modality, so the orbit pass sweeps canonical relations."""
     swept = []
     sweep = frames.FrameSweep
     monkeypatch.setattr(frames, "FrameSweep",
                         lambda chunk, *args, **kw: swept.append(chunk.labels) or sweep(chunk, *args, **kw))
-    judgment = ([parse("p"), parse("@p")], parse("@(p | q)"), 3)
+    judgment = ([parse("[]p"), parse("@[]p")], parse("@([]p | q)"), 3)
     for ultrafilters, frame_filter, labellings in (
         (ULTRAFILTERS, None, [("A",), ("A", "A"), ("A", "B"), ("A", "A", "A"),
                               ("A", "A", "B"), ("A", "B", "C")]),
@@ -193,6 +197,65 @@ def test_a_search_without_a_countermodel_sweeps_the_orbit_representatives(monkey
         swept.clear()
         assert countermodel_search(*judgment, ultrafilters, frame_filter) is None
         assert sorted(set(swept), key=lambda x: (len(x), x)) == labellings
+
+
+@st.composite
+def modal_free_searches(draw):
+    names = draw(st.sampled_from([("p",), ("p", "q")]))
+    formulas = _formulas(3, names, st.sampled_from([Not, Ball]))
+    premises = draw(st.lists(formulas, max_size=2))
+    goal = draw(formulas)
+    order = draw(st.permutations(ULTRAFILTERS))
+    ultrafilters = tuple(order[:draw(st.integers(1, 3))])
+    return (premises, goal, draw(st.integers(1, 3)), ultrafilters,
+            draw(st.sampled_from([None] + list(PROPERTIES))),
+            draw(st.sampled_from([None, 3, 40, 500])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(modal_free_searches())
+# No countermodel up to three worlds: every relation-blind part is swept.
+@example(([parse("p"), parse("@p")], parse("@(p | q)"), 3, ULTRAFILTERS, "euclidean", None))
+# A hit on the least relation passing `reflexive`, which is not relation 0.
+@example(([], parse("@p"), 2, ULTRAFILTERS, "reflexive", None))
+@example(([], parse("@p"), 2, ULTRAFILTERS, "reflexive", 3))
+def test_the_relation_blind_search_matches_the_frame_by_frame_scan(case):
+    premises, goal, max_worlds, ultrafilters, name, max_frames = case
+    prop = None if name is None else PROPERTIES[name]
+    # A plain predicate is no FrameProperty, so it gets no orbit pass.
+    plain = (lambda frame: True) if prop is None else (lambda frame: prop.holds(frame))
+    args = (premises, goal, max_worlds, ultrafilters)
+    assert (_outcome(countermodel_search, *args, prop, 4 ** 10, max_frames)
+            == _outcome(countermodel_search, *args, plain, 4 ** 10, max_frames))
+
+
+def test_a_modal_free_search_sweeps_one_relation_per_representative(monkeypatch):
+    """Without a countermodel, one one-relation sweep per labelling
+    representative and world count, at the least relation that passes the
+    filter."""
+    swept = []
+    sweep = frames.FrameSweep
+    monkeypatch.setattr(frames, "FrameSweep",
+                        lambda chunk, *args, **kw: swept.append(chunk) or sweep(chunk, *args, **kw))
+    for frame_filter, key in (
+        (None, ("e1", "e2", "e3")),
+        (PROPERTIES["reflexive"], ("e1", "e2", "e3")),
+        (PROPERTIES["serial"], ("e2",)),
+    ):
+        swept.clear()
+        ultrafilters = [u for u in ULTRAFILTERS if u.name in key]
+        assert countermodel_search([parse("p"), parse("@p")], parse("@(p | q)"), 3, ultrafilters,
+                                   frame_filter) is None
+        expected = []
+        for n in (1, 2, 3):
+            worlds = tuple(f"w{i + 1}" for i in range(n))
+            for labels, _ in _labelling_orbits(n, key):
+                least = 0
+                if frame_filter is not None:
+                    mask = frame_filter.relation_mask(worlds, labels, range(1 << (n * n)))
+                    least = (mask & -mask).bit_length() - 1
+                expected.append((labels, range(least, least + 1)))
+        assert [(chunk.labels, chunk.relations) for chunk in swept] == expected
 
 
 def _moved(labels, sigma, rename):

@@ -39,14 +39,14 @@ _UNARY = st.sampled_from([Not, Ball, Box, Diamond, BoxSame, BoxDiff])
 _BINARY = st.sampled_from([And, Or])
 
 
-def _formulas(depth: int, names=VARS):
+def _formulas(depth: int, names=VARS, unary=_UNARY):
     leaves = st.sampled_from([Var(name) for name in names] + [Top(), Bot()])
     if depth == 0:
         return leaves
-    sub = _formulas(depth - 1, names)
+    sub = _formulas(depth - 1, names, unary)
     return st.one_of(
         leaves,
-        st.builds(lambda op, f: op(f), _UNARY, sub),
+        st.builds(lambda op, f: op(f), unary, sub),
         st.builds(lambda op, f, g: op(f, g), _BINARY, sub, sub),
     )
 
