@@ -517,18 +517,21 @@ class FrameSweep:
         ultrafilters: Sequence[Ultrafilter],
     ) -> list[int]:
         """Per ultrafilter: the mask of the valuations globally satisfying
-        every premise but not the goal.  Each program's values are met once,
-        as in `valid_masks_of`, and the goal is not evaluated once every
-        mask is empty."""
+        every premise but not the goal.  The planes of the ultrafilters are
+        met with every premise's world values, and the goal is not evaluated
+        once that meet is empty."""
         ones = self._ones
-        masks = [ones] * len(ultrafilters)
+        shifts = [_GENERATOR_PLANE[u.generator] * self._groups for u in ultrafilters]
+        meet = 0
+        for shift in shifts:
+            meet |= ones << shift
         for premise in premises:
-            valid = self.valid_masks_of(self.values(premise), ultrafilters)
-            masks = [mask & v for mask, v in zip(masks, valid)]
-            if not any(masks):
-                return masks
+            for v in self.values(premise):
+                meet &= v
+            if not meet:
+                return [0] * len(shifts)
         valid = self.valid_masks_of(self.values(goal), ultrafilters)
-        return [mask & (v ^ ones) for mask, v in zip(masks, valid)]
+        return [(meet >> shift) & (v ^ ones) for shift, v in zip(shifts, valid)]
 
     def countermodel_index(
         self,
