@@ -402,34 +402,6 @@ def _orbit_parts(
     return _orbit_frames(n, variables, orbit_key, ramp)
 
 
-def _relation_blind_parts(
-    n: int, orbit_key: tuple[str, ...], prop: FrameProperty | None
-) -> list[list[_Part]]:
-    """For a judgment with no modality, whose value at a world depends on
-    that world's valuation alone, so that a labelled frame has a
-    countermodel iff every frame with its labelling does: the frames on n
-    worlds passing the property (or all, for None), as one group of one part
-    per orbit representative of `_labelling_orbits` with a passing
-    relation.  The part's chunk is the least passing relation, weighted by
-    the orbit's size times the number of passing relations; the property is
-    read off `relation_mask` over every relation, 2**16 at a time."""
-    worlds, total = _world_names(n), 1 << (n * n)
-    width = min(total, MAX_PACKED_GROUPS)
-    group = []
-    for labels, size in _labelling_orbits(n, orbit_key):
-        least, count = 0, total
-        if prop is not None:
-            least, count = None, 0
-            for lo in range(0, total, width):
-                mask = prop.relation_mask(worlds, labels, range(lo, lo + width))
-                if mask and least is None:
-                    least = lo + (mask & -mask).bit_length() - 1
-                count += mask.bit_count()
-        if count:
-            group.append((labels, range(least, least + 1), {size * count: 1}))
-    return [group]
-
-
 # ---------------------------------------------------------------------------
 # Correspondence harness
 # ---------------------------------------------------------------------------
@@ -785,6 +757,34 @@ def correspondence_check(
 # ---------------------------------------------------------------------------
 # Countermodel search
 # ---------------------------------------------------------------------------
+
+
+def _relation_blind_parts(
+    n: int, orbit_key: tuple[str, ...], prop: FrameProperty | None
+) -> list[list[_Part]]:
+    """For a judgment with no modality, whose value at a world depends on
+    that world's valuation alone, so that a labelled frame has a
+    countermodel iff every frame with its labelling does: the frames on n
+    worlds passing the property (or all, for None), as one group of one part
+    per orbit representative of `_labelling_orbits` with a passing
+    relation.  The part's chunk is the least passing relation, weighted by
+    the orbit's size times the number of passing relations; the property is
+    read off `relation_mask` over every relation, 2**16 at a time."""
+    worlds, total = _world_names(n), 1 << (n * n)
+    width = min(total, MAX_PACKED_GROUPS)
+    group = []
+    for labels, size in _labelling_orbits(n, orbit_key):
+        least, count = 0, total
+        if prop is not None:
+            least, count = None, 0
+            for lo in range(0, total, width):
+                mask = prop.relation_mask(worlds, labels, range(lo, lo + width))
+                if mask and least is None:
+                    least = lo + (mask & -mask).bit_length() - 1
+                count += mask.bit_count()
+        if count:
+            group.append((labels, range(least, least + 1), {size * count: 1}))
+    return [group]
 
 
 def _countermodel_scan(
