@@ -802,9 +802,11 @@ def _countermodel_scan(
     ultrafilters moving in step, maps a countermodel to a countermodel and
     keeps every property in PROPERTIES.  So with no filter or one of those,
     each world count is first scanned on the weighted orbit representatives
-    of `_orbit_parts`, or, when no premise or goal has a modality, of
-    `_relation_blind_parts`, one relation each; every labelling and relation
-    is scanned only where they have a countermodel or pass the budget."""
+    of `_orbit_parts`, or, when no premise or goal has a modality once
+    their constants are folded (syntax.fold_constants, which keeps every
+    value), of `_relation_blind_parts`, one relation each; every labelling
+    and relation is scanned only where they have a countermodel or pass the
+    budget."""
     if getattr(frame_filter, "__func__", None) is FrameProperty.holds:
         frame_filter = frame_filter.__self__  # a bound `holds`, as the is_* aliases are
     symmetric = frame_filter is None or frame_filter in PROPERTIES.values()
@@ -812,8 +814,9 @@ def _countermodel_scan(
         predicate = frame_filter
         frame_filter = FrameProperty("filter", lambda frame: None if predicate(frame) else ())
     var_names = tuple(sorted(set().union(*(syntax.variables(g) for g in premises + (goal,)))))
-    modal_free = all(syntax.is_modal_free(g) for g in premises + (goal,))
-    premise_programs = [compile_formula(p) for p in premises]
+    *folded, goal = (syntax.fold_constants(g) for g in premises + (goal,))
+    modal_free = all(syntax.is_modal_free(g) for g in folded + [goal])
+    premise_programs = [compile_formula(p) for p in folded]
     goal_program = compile_formula(goal)
 
     def scan(n: int, groups: Iterable[list[_Part]], budget: float) -> tuple[Model | None, int]:

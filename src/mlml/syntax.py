@@ -212,6 +212,53 @@ def is_modal_free(f: Formula) -> bool:
     return not any(isinstance(g, _MODAL_TYPES) for g in _post_order(f))
 
 
+def fold_constants(f: Formula) -> Formula:
+    """A formula with the same value as f at every world of every frame,
+    under every valuation and labelling, with the constant subformulas that
+    these facts of the algebra find replaced by T or F:
+
+    - ~T is F, and T & g, F | g are g; F & g is F and T | g is T;
+    - a crisp value, one of F and T, has a crisp ~, &, |, box and diamond,
+      down-interpretation keeping F and T, and @ is crisp everywhere, so @g
+      is T for a crisp g;
+    - []T, [=]T and [-]T are T, the meet of no value or of T's, and <>F is F.
+
+    So @@p and ~@[]@p fold to T and F.  A subformula that folds to nothing
+    simpler is kept as it is; a node shared by several parents is folded
+    once."""
+    folded: dict[int, tuple[Formula, bool]] = {}  # id -> (folded node, crisp)
+    for g in _post_order(f):
+        kind = type(g)
+        if kind in (Top, Bot):
+            folded[id(g)] = g, True
+        elif kind is Var:
+            folded[id(g)] = g, False
+        elif kind in (And, Or):
+            (left, lc), (right, rc) = folded[id(g.left)], folded[id(g.right)]
+            absorbing, unit = (Bot, Top) if kind is And else (Top, Bot)
+            if type(left) is absorbing or type(right) is absorbing:
+                folded[id(g)] = absorbing(), True
+            elif type(left) is unit:
+                folded[id(g)] = right, rc
+            elif type(right) is unit:
+                folded[id(g)] = left, lc
+            else:
+                same = left is g.left and right is g.right
+                folded[id(g)] = g if same else kind(left, right), lc and rc
+        else:
+            sub, crisp = folded[id(g.sub)]
+            if kind is Not and type(sub) in (Top, Bot):
+                folded[id(g)] = (Bot() if type(sub) is Top else Top()), True
+            elif kind is Ball and crisp:
+                folded[id(g)] = Top(), True
+            elif (kind is Diamond and type(sub) is Bot
+                  or kind in (Box, BoxSame, BoxDiff) and type(sub) is Top):
+                folded[id(g)] = sub, True
+            else:
+                folded[id(g)] = g if sub is g.sub else kind(sub), crisp or kind is Ball
+    return folded[id(f)][0]
+
+
 def ball_substitution(f: Formula) -> Formula:
     """Replace every variable leaf p by @p, leaving the rest of the tree alone."""
     if isinstance(f, Var):

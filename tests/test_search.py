@@ -219,6 +219,9 @@ def modal_free_searches(draw):
 # A hit on the least relation passing `reflexive`, which is not relation 0.
 @example(([], parse("@p"), 2, ULTRAFILTERS, "reflexive", None))
 @example(([], parse("@p"), 2, ULTRAFILTERS, "reflexive", 3))
+# Modal formulas whose constants fold away: to F, and to T with a hit.
+@example(([parse("~@[]@p")], parse("<>(@p & ~@@p)"), 3, ULTRAFILTERS, "serial", 40))
+@example(([parse("@[]@q")], parse("@<>@p & p"), 2, ULTRAFILTERS, "reflexive", None))
 def test_the_relation_blind_search_matches_the_frame_by_frame_scan(case):
     premises, goal, max_worlds, ultrafilters, name, max_frames = case
     prop = None if name is None else PROPERTIES[name]
@@ -229,10 +232,17 @@ def test_the_relation_blind_search_matches_the_frame_by_frame_scan(case):
             == _outcome(countermodel_search, *args, plain, 4 ** 10, max_frames))
 
 
-def test_a_modal_free_search_sweeps_one_relation_per_representative(monkeypatch):
+@pytest.mark.parametrize("premises, goal", [
+    (["p", "@p"], "@(p | q)"),
+    # Modal, but folding constants leaves the premise F and the goal F.
+    (["~@[]@p"], "<>(@p & ~@@p) ^ <>(~@p & ~@@p)"),
+])
+def test_a_relation_blind_search_sweeps_one_relation_per_representative(
+        monkeypatch, premises, goal):
     """Without a countermodel, one one-relation sweep per labelling
     representative and world count, at the least relation that passes the
-    filter."""
+    filter, for a judgment with no modality once its constants are
+    folded."""
     swept = []
     sweep = frames.FrameSweep
     monkeypatch.setattr(frames, "FrameSweep",
@@ -244,7 +254,7 @@ def test_a_modal_free_search_sweeps_one_relation_per_representative(monkeypatch)
     ):
         swept.clear()
         ultrafilters = [u for u in ULTRAFILTERS if u.name in key]
-        assert countermodel_search([parse("p"), parse("@p")], parse("@(p | q)"), 3, ultrafilters,
+        assert countermodel_search([parse(p) for p in premises], parse(goal), 3, ultrafilters,
                                    frame_filter) is None
         expected = []
         for n in (1, 2, 3):

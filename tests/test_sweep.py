@@ -28,7 +28,7 @@ from mlml.algebra import (
 )
 from mlml.kripke import Frame, Model, eval_formula, satisfies
 from mlml.syntax import (
-    And, Ball, Bot, Box, BoxDiff, BoxSame, Diamond, Not, Or, Top, Var,
+    And, Ball, Bot, Box, BoxDiff, BoxSame, Diamond, Not, Or, Top, Var, fold_constants, parse,
 )
 from packed_layout import (
     element_at, group, group_count, mask_at, mask_of, pack, relation_block,
@@ -199,6 +199,37 @@ def test_relation_reductions_read_every_valuation_of_every_relation(worlds, name
             assert sweep.lowest_index(mask, r) == i
             assert sweep.lowest_index(mask, r ^ 1) is None
     assert sweep.relations_meeting(0) == 0
+
+
+def _every_frame_values(f, worlds, names):
+    """f's values on every labelled frame on the worlds, one sweep per
+    labelling over every relation."""
+    relations = range(1 << len(worlds) ** 2)
+    return [FrameSweep(RelationChunk(worlds, labels, relations), names).values(f)
+            for labels in product("ABC", repeat=len(worlds))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(FORMULAS)
+def test_folding_constants_keeps_every_value(formula):
+    folded = fold_constants(formula)
+    for worlds in (("w1",), ("w1", "w2")):
+        assert _every_frame_values(folded, worlds, VARS) == _every_frame_values(formula, worlds, VARS)
+
+
+@pytest.mark.parametrize("text, folded", [
+    ("~@[]@p", Bot()),
+    ("<>(@p & ~@@p) ^ <>(~@p & ~@@p)", Bot()),
+    ("@(@p | [=]~@q) & [-]T", Top()),
+    ("<>F | [](p & T)", Box(Var("p"))),
+    ("@(p & q) | <>~@p", None),  # nothing to fold: the formula itself
+])
+def test_folding_constants_on_three_worlds(text, folded):
+    formula = parse(text)
+    result = fold_constants(formula)
+    assert result is formula if folded is None else result == folded
+    worlds = ("w1", "w2", "w3")
+    assert _every_frame_values(result, worlds, VARS) == _every_frame_values(formula, worlds, VARS)
 
 
 def test_chunk_width_keeps_operands_at_most_two_to_the_sixteen_groups():

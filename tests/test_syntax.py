@@ -285,13 +285,17 @@ def test_syntax_walks_match_the_tree_walk_on_shared_chains():
 def test_syntax_walks_visit_each_shared_node_once():
     import time
 
-    from mlml.syntax import is_modal_free, subformulas
+    from mlml.syntax import fold_constants, is_modal_free, subformulas
 
     started = time.perf_counter()
     for f in _iff_chains(30):
         connective_count(f)
         is_modal_free(f)
+        assert fold_constants(f) is f
         found = list(subformulas(f))
         assert len(found) == len(set(found))
+    # Folds that rebuild the shared nodes keep them shared.
+    folded = fold_constants(parse(" <-> ".join(["[]p & @@q"] * 31)))
+    assert connective_count(folded) == connective_count(parse(" <-> ".join(["[]p"] * 31)))
     assert time.perf_counter() - started < 1.0
     assert connective_count(parse(" <-> ".join(["p"] * 31))) == 5 * (2 ** 30 - 1)
