@@ -22,20 +22,22 @@ significant; each slot's digit indexes the world's carrier in ascending
 element order.  Index 0 is therefore the all-zero valuation, and the lowest
 failing bit of a validity mask identifies the canonically first countermodel.
 
-Formulas are evaluated as compiled programs.  `compile_formula` walks the
-tree once, without recursion, and hash-conses it into straight-line code:
-one (op, a, b) instruction per distinct subformula, whose arguments are
-indices of earlier instructions (diamond compiles to not-box-not).  A sweep
-interns the instructions it runs by (op, ids of the argument results), all
-small ints, so a subformula shared by several formulas is computed once per
-sweep, and the repeat evaluation of the last program, as for the next
-ultrafilter, returns at once.  `apply` runs one opcode on per-world value
-lists; `values` passes it the interned results, and the indiscernibility
-battery passes it the values of its semantic classes, so both run the same
-operators.  Callers that evaluate one formula on many frames compile it
-once and pass the program.  A variable's vector depends only on the slot
-count, its slot and the world's carrier, so the vectors come from a small
-fixed-size cache shared by every sweep.
+Formulas are evaluated as compiled programs.  `compile_formula` takes the
+formula's distinct nodes in the post-order of the one formula walk in
+syntax, which every pass over a formula goes through, and hash-conses them
+into straight-line code: one (op, a, b) instruction per distinct
+subformula, whose arguments are indices of earlier instructions (diamond
+compiles to not-box-not).  A sweep interns the instructions it runs by (op,
+ids of the argument results), all small ints, so a subformula shared by
+several formulas is computed once per sweep, and the repeat evaluation of
+the last program, as for the next ultrafilter, returns at once.  `apply`
+runs one opcode on per-world value lists; `values` passes it the interned
+results, and the indiscernibility battery passes it the values of its
+semantic classes, so both run the same operators.  Callers that evaluate
+one formula on many frames compile it once and pass the program.  A
+variable's vector depends only on the slot count, its slot and the world's
+carrier, so the vectors come from a small fixed-size cache shared by
+every sweep.
 
 The correspondence battery and the countermodel search pack the relation
 axis as well.  A sweep over a `RelationChunk` covers one labelling of n
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .algebra import BOT, E1, E2, E3, TOP, Ultrafilter, carrier
+from .algebra import ATOMS, BOT, LATTICE_LABELS, TOP, Ultrafilter, carrier, middle_pair
 from . import syntax
 from .syntax import Formula, ResourceBudgetExceeded
 
@@ -73,15 +75,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_MAX_VALUATIONS = 4 ** 10
 
-# Per lattice label: the plane of its single-atom middle element and the two
-# planes of its coatom middle element.
-_DOWN_PLANES = {
-    "A": (0, 1, 2),
-    "B": (1, 0, 2),
-    "C": (2, 0, 1),
-}
+# Plane k holds the bit of atom e(k+1), bit k of the element encoding.
+_GENERATOR_PLANE = {atom: atom.bit_length() - 1 for atom in ATOMS}
 
-_GENERATOR_PLANE = {E1: 0, E2: 1, E3: 2}
+# Per lattice label: the plane of its atom, then the two planes of its coatom.
+_DOWN_PLANES = {
+    label: tuple(_GENERATOR_PLANE[a] for middle in middle_pair(label) for a in ATOMS if a & middle)
+    for label in LATTICE_LABELS
+}
 
 # A block's top byte, with only its top bit possibly set, as a binary digit.
 _TOP_BYTE_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
@@ -117,7 +118,7 @@ class Program:
 
 
 def compile_formula(f: Formula) -> Program:
-    """Hash-cons f into a Program by an iterative post-order walk."""
+    """Hash-cons f into a Program, one node of f at a time in post-order."""
     code: list[tuple[int, object, int]] = []
     position: dict[tuple[int, object, int], int] = {}
     done: dict[int, int] = {}  # id of a node of f -> its instruction
@@ -130,12 +131,7 @@ def compile_formula(f: Formula) -> Program:
             code.append(instruction)
         return at
 
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if id(g) in done:
-            stack.pop()
-            continue
+    for g in syntax._post_order(f):
         kind = type(g)
         if kind is syntax.Var:
             at = emit(VAR, g.name)
@@ -144,27 +140,14 @@ def compile_formula(f: Formula) -> Program:
         elif kind is syntax.Bot:
             at = emit(BOT_OP)
         elif kind in _BINARY_OPS:
-            left, right = done.get(id(g.left)), done.get(id(g.right))
-            if left is None or right is None:
-                if right is None:
-                    stack.append(g.right)
-                if left is None:
-                    stack.append(g.left)
-                continue
-            at = emit(_BINARY_OPS[kind], left, right)
-        elif kind in _UNARY_OPS or kind is syntax.Diamond:
-            sub = done.get(id(g.sub))
-            if sub is None:
-                stack.append(g.sub)
-                continue
-            if kind is syntax.Diamond:
-                at = emit(NOT, emit(BOX, emit(NOT, sub)))
-            else:
-                at = emit(_UNARY_OPS[kind], sub)
+            at = emit(_BINARY_OPS[kind], done[id(g.left)], done[id(g.right)])
+        elif kind is syntax.Diamond:
+            at = emit(NOT, emit(BOX, emit(NOT, done[id(g.sub)])))
+        elif kind in _UNARY_OPS:
+            at = emit(_UNARY_OPS[kind], done[id(g.sub)])
         else:
             raise TypeError(f"not a formula: {g!r}")
         done[id(g)] = at
-        stack.pop()
     return Program(tuple(code))
 
 
@@ -331,7 +314,6 @@ class FrameSweep:
         binary: bool = False,
         max_valuations: int | None = DEFAULT_MAX_VALUATIONS,
     ):
-        self.frame = frame
         self.var_names = tuple(var_names)
         self.worlds = worlds = frame.worlds
         if isinstance(frame, RelationChunk):

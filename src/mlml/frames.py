@@ -813,7 +813,7 @@ def _countermodel_scan(
     if frame_filter is not None and not isinstance(frame_filter, FrameProperty):
         predicate = frame_filter
         frame_filter = FrameProperty("filter", lambda frame: None if predicate(frame) else ())
-    var_names = tuple(sorted(set().union(*(syntax.variables(g) for g in premises + (goal,)))))
+    var_names = syntax.variables(*premises, goal)
     *folded, goal = (syntax.fold_constants(g) for g in premises + (goal,))
     modal_free = all(syntax.is_modal_free(g) for g in folded + [goal])
     premise_programs = [compile_formula(p) for p in folded]

@@ -250,7 +250,7 @@ def find_frame_countermodel(
     formula serve them all.
     """
     premises = tuple(premises)
-    names = sorted(set(syntax.variables(f)).union(*map(syntax.variables, premises)))
+    names = syntax.variables(f, *premises)
     sweep = FrameSweep(frame, names, max_valuations=max_valuations)
     selected = _resolve_ultrafilters(ultrafilter)
     for u, mask in zip(selected, sweep.countermodel_mask(premises, f, selected)):

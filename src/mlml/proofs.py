@@ -67,7 +67,6 @@ __all__ = [
     "semantic_crosscheck",
     "derivation_to_dict",
     "derivation_from_dict",
-    "load_derivation",
     "load_bundled_corpus",
     "RULE_TAGS",
 ]
@@ -532,11 +531,6 @@ def derivation_from_dict(doc: Mapping) -> Derivation:
             )
         )
     return Derivation(steps)
-
-
-def load_derivation(path: str) -> Derivation:
-    with open(path, "r", encoding="utf-8") as handle:
-        return derivation_from_dict(json.load(handle))
 
 
 def load_bundled_corpus() -> list[tuple[str, Derivation]]:

@@ -66,20 +66,10 @@ class ModalOperatorError(ValueError):
 
 def _require_propositional(f: Formula) -> None:
     """Raise ModalOperatorError at the first modal subformula, outermost and
-    leftmost first, visiting a node shared by several parents once."""
-    visited: set[int] = set()  # ids of nodes of f, all kept alive by f
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if id(g) in visited:
-            continue
-        visited.add(id(g))
-        if isinstance(g, (syntax.Box, syntax.Diamond, syntax.BoxSame, syntax.BoxDiff)):
-            raise ModalOperatorError(g)
-        if isinstance(g, (syntax.Not, syntax.Ball)):
-            stack.append(g.sub)
-        elif isinstance(g, (syntax.And, syntax.Or)):
-            stack += (g.right, g.left)
+    leftmost first."""
+    offending = syntax._first_modal(f)
+    if offending is not None:
+        raise ModalOperatorError(offending)
 
 
 def eval4(f: Formula, assignment: Mapping[str, int]) -> int:

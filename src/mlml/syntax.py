@@ -33,7 +33,7 @@ writes out shares operands, so '<->' chains print exponentially long.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class _Node:
@@ -134,6 +134,8 @@ Formula = Union[Var, Not, And, Or, Ball, Box, Diamond, BoxSame, BoxDiff, Top, Bo
 
 _UNARY_TYPES = (Not, Ball, Box, Diamond, BoxSame, BoxDiff)
 _MODAL_TYPES = (Box, Diamond, BoxSame, BoxDiff)
+_UNARY_KINDS = frozenset(_UNARY_TYPES)
+_BINARY_KINDS = frozenset((And, Or))
 
 
 def Imp(left: Formula, right: Formula) -> Formula:
@@ -151,50 +153,33 @@ def Xor(left: Formula, right: Formula) -> Formula:
     return Or(And(left, Not(right)), And(Not(left), right))
 
 
-def variables(f: Formula) -> tuple[str, ...]:
-    """Sorted tuple of variable names occurring in the formula; a node shared
-    by several parents is visited once."""
-    seen: set[str] = set()
-    visited: set[int] = set()  # ids of nodes of f, all kept alive by f
-    stack = [f]
+def variables(*formulas: Formula) -> tuple[str, ...]:
+    """Sorted tuple of the variable names occurring in any of the formulas;
+    a node shared by several parents is visited once."""
+    return tuple(sorted({g.name for f in formulas for g in _post_order(f) if type(g) is Var}))
+
+
+def _post_order(f: Formula) -> Iterable[Formula]:
+    """The nodes of f, children before parents and left before right, each
+    node object once however many parents share it.  A node is expanded by
+    pushing it, a None to mark it and its children; popping the None emits
+    it, after everything its children pushed."""
+    done: dict[int, Formula] = {}  # id -> node, in the order emitted
+    stack: list[Formula | None] = [f]
     while stack:
         g = stack.pop()
-        if id(g) in visited:
-            continue
-        visited.add(id(g))
-        if isinstance(g, Var):
-            seen.add(g.name)
-        elif isinstance(g, _UNARY_TYPES):
-            stack.append(g.sub)
-        elif isinstance(g, (And, Or)):
-            stack.append(g.left)
-            stack.append(g.right)
-    return tuple(sorted(seen))
-
-
-def _children(g: Formula) -> tuple[Formula, ...]:
-    if isinstance(g, _UNARY_TYPES):
-        return (g.sub,)
-    if isinstance(g, (And, Or)):
-        return (g.left, g.right)
-    return ()
-
-
-def _post_order(f: Formula) -> Iterator[Formula]:
-    """The nodes of f, children before parents and left before right, each
-    node object once however many parents share it."""
-    done: set[int] = set()  # ids of nodes of f, all kept alive by f
-    stack = [(f, False)]
-    while stack:
-        g, expanded = stack.pop()
-        if id(g) in done:
-            continue
-        if expanded:
-            done.add(id(g))
-            yield g
-            continue
-        stack.append((g, True))
-        stack.extend((child, False) for child in reversed(_children(g)))
+        if g is None:
+            g = stack.pop()
+            done[id(g)] = g
+        elif id(g) not in done:
+            kind = type(g)
+            if kind in _BINARY_KINDS:
+                stack += (g, None, g.right, g.left)
+            elif kind in _UNARY_KINDS:
+                stack += (g, None, g.sub)
+            else:
+                done[id(g)] = g
+    return done.values()
 
 
 def connective_count(f: Formula) -> int:
@@ -203,13 +188,36 @@ def connective_count(f: Formula) -> int:
     tree; each distinct node is visited once."""
     counts: dict[int, int] = {}
     for g in _post_order(f):
-        kids = _children(g)
-        counts[id(g)] = 1 + sum(counts[id(c)] for c in kids) if kids else 0
+        kind = type(g)
+        if kind in _BINARY_KINDS:
+            counts[id(g)] = 1 + counts[id(g.left)] + counts[id(g.right)]
+        elif kind in _UNARY_KINDS:
+            counts[id(g)] = 1 + counts[id(g.sub)]
+        else:
+            counts[id(g)] = 0
     return counts[id(f)]
 
 
+def _first_modal(f: Formula) -> Formula | None:
+    """The outermost, leftmost modal subformula of f, or None: per node, the
+    node itself if it is modal, else the left child's, else the right's."""
+    found: dict[int, Formula | None] = {}
+    for g in _post_order(f):
+        kind = type(g)
+        if kind in _BINARY_KINDS:
+            left = found[id(g.left)]
+            found[id(g)] = left if left is not None else found[id(g.right)]
+        elif kind in _MODAL_TYPES:
+            found[id(g)] = g
+        elif kind in _UNARY_KINDS:
+            found[id(g)] = found[id(g.sub)]
+        else:
+            found[id(g)] = None
+    return found[id(f)]
+
+
 def is_modal_free(f: Formula) -> bool:
-    return not any(isinstance(g, _MODAL_TYPES) for g in _post_order(f))
+    return _first_modal(f) is None
 
 
 def fold_constants(f: Formula) -> Formula:
@@ -260,14 +268,21 @@ def fold_constants(f: Formula) -> Formula:
 
 
 def ball_substitution(f: Formula) -> Formula:
-    """Replace every variable leaf p by @p, leaving the rest of the tree alone."""
-    if isinstance(f, Var):
-        return Ball(f)
-    if isinstance(f, _UNARY_TYPES):
-        return type(f)(ball_substitution(f.sub))
-    if isinstance(f, (And, Or)):
-        return type(f)(ball_substitution(f.left), ball_substitution(f.right))
-    return f
+    """Replace every variable leaf p by @p, leaving the rest of the tree
+    alone; a node shared by several parents is substituted once, so it stays
+    shared."""
+    done: dict[int, Formula] = {}  # id -> substituted node
+    for g in _post_order(f):
+        kind = type(g)
+        if kind is Var:
+            done[id(g)] = Ball(g)
+        elif kind in _BINARY_KINDS:
+            done[id(g)] = kind(done[id(g.left)], done[id(g.right)])
+        elif kind in _UNARY_KINDS:
+            done[id(g)] = kind(done[id(g.sub)])
+        else:
+            done[id(g)] = g
+    return done[id(f)]
 
 
 # ---------------------------------------------------------------------------

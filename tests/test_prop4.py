@@ -38,6 +38,9 @@ def test_eval4_rejects_modal_operators():
     assert "[]q" in str(info.value)
     with pytest.raises(ModalOperatorError):
         eval4(parse("<>p"), {"p": TOP})
+    with pytest.raises(ModalOperatorError) as info:
+        eval4(parse("[]<>p & p"), {"p": TOP})
+    assert info.value.offending == parse("[]<>p")
     with pytest.raises(ValueError):
         eval4(parse("p"), {})
 

@@ -74,9 +74,8 @@ def _frame(worlds, labels, bits) -> Frame:
 INDICES = st.lists(st.integers(0, 4 ** 6 - 1), min_size=1, max_size=6)
 
 
-def _assert_agrees(sweep, formula, evaluated, indices):
+def _assert_agrees(sweep, frame, formula, evaluated, indices):
     """evaluated is the formula itself or its compiled program."""
-    frame = sweep.frame
     packed = sweep.values(evaluated)
     masks = {u: sweep.designated_mask(evaluated, u) for u in ULTRAFILTERS}
     for index in indices:
@@ -94,7 +93,7 @@ def _assert_agrees(sweep, formula, evaluated, indices):
 @given(frames(), FORMULAS, INDICES)
 def test_sweep_matches_eval_formula(frame, formula, indices):
     sweep = FrameSweep(frame, VARS)
-    _assert_agrees(sweep, formula, formula, indices)
+    _assert_agrees(sweep, frame, formula, formula, indices)
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,7 +103,7 @@ def test_precompiled_program_matches_eval_formula(frame, formula, indices):
     sweep = FrameSweep(frame, VARS)
     packed = sweep.values(program)
     assert sweep.values(program) is packed
-    _assert_agrees(sweep, formula, program, indices)
+    _assert_agrees(sweep, frame, formula, program, indices)
     assert FrameSweep(frame, VARS).values(formula) == packed
 
 
@@ -114,7 +113,7 @@ def test_one_sweep_across_formulas(frame, formulas, indices):
     sweep = FrameSweep(frame, VARS)
     # Interleave and repeat, so later formulas reuse earlier subformulas.
     for formula in formulas + formulas[::-1]:
-        _assert_agrees(sweep, formula, formula, indices)
+        _assert_agrees(sweep, frame, formula, formula, indices)
 
 
 # ---------------------------------------------------------------------------

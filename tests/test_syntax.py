@@ -142,6 +142,8 @@ def test_variables_and_connective_count():
     f = parse("[](p -> q) & @p")
     assert variables(f) == ("p", "q")
     assert variables(Top()) == ()
+    assert variables(f, parse("r | F"), Top()) == ("p", "q", "r")
+    assert variables() == ()
     assert connective_count(P) == 0
     assert connective_count(parse("~p")) == 1
     assert connective_count(parse("p -> q")) == 2  # stored as ~p | q
@@ -253,6 +255,56 @@ def _tree_modal_free(f):
     return _tree_modal_free(f.sub)
 
 
+def _tree_variables(f):
+    if isinstance(f, Var):
+        return {f.name}
+    if isinstance(f, (And, Or)):
+        return _tree_variables(f.left) | _tree_variables(f.right)
+    if isinstance(f, (Top, Bot)):
+        return set()
+    return _tree_variables(f.sub)
+
+
+def _tree_code(f):
+    """compile_formula's code, hash-consed over the written-out tree."""
+    from mlml import _sweep
+
+    code = []
+    unary = {Not: _sweep.NOT, Ball: _sweep.BALL, Box: _sweep.BOX,
+             BoxSame: _sweep.BOX_SAME, BoxDiff: _sweep.BOX_DIFF}
+
+    def emit(op, a=-1, b=-1):
+        if (op, a, b) not in code:
+            code.append((op, a, b))
+        return code.index((op, a, b))
+
+    def walk(g):
+        if isinstance(g, Var):
+            return emit(_sweep.VAR, g.name)
+        if isinstance(g, (Top, Bot)):
+            return emit(_sweep.TOP_OP if isinstance(g, Top) else _sweep.BOT_OP)
+        if isinstance(g, (And, Or)):
+            left, right = walk(g.left), walk(g.right)
+            return emit(_sweep.AND if isinstance(g, And) else _sweep.OR, left, right)
+        sub = walk(g.sub)
+        if isinstance(g, Diamond):
+            return emit(_sweep.NOT, emit(_sweep.BOX, emit(_sweep.NOT, sub)))
+        return emit(unary[type(g)], sub)
+
+    walk(f)
+    return tuple(code)
+
+
+def _tree_ball_substitution(f):
+    if isinstance(f, Var):
+        return Ball(f)
+    if isinstance(f, (And, Or)):
+        return type(f)(_tree_ball_substitution(f.left), _tree_ball_substitution(f.right))
+    if isinstance(f, (Top, Bot)):
+        return f
+    return type(f)(_tree_ball_substitution(f.sub))
+
+
 def _tree_subformulas(f):
     if isinstance(f, (And, Or)):
         yield from _tree_subformulas(f.left)
@@ -269,12 +321,16 @@ def _iff_chains(operators):
 
 
 def test_syntax_walks_match_the_tree_walk_on_shared_chains():
+    from mlml._sweep import compile_formula
     from mlml.syntax import is_modal_free, subformulas
 
     for operators in range(13):
         for f in _iff_chains(operators):
             assert connective_count(f) == _tree_connectives(f)
             assert is_modal_free(f) == _tree_modal_free(f)
+            assert variables(f) == tuple(sorted(_tree_variables(f)))
+            assert compile_formula(f).code == _tree_code(f)
+            assert ball_substitution(f) == _tree_ball_substitution(f)
             firsts = []
             for g in _tree_subformulas(f):
                 if g not in firsts:
@@ -285,8 +341,17 @@ def test_syntax_walks_match_the_tree_walk_on_shared_chains():
 def test_syntax_walks_visit_each_shared_node_once():
     import time
 
-    from mlml.syntax import fold_constants, is_modal_free, subformulas
+    from mlml._sweep import compile_formula
+    from mlml.syntax import _post_order, fold_constants, is_modal_free, subformulas
 
+    def node_count(f):
+        return len(list(_post_order(f)))
+
+    # Ball substitution keeps shared nodes shared, adding one @x per
+    # variable node; substituting the written-out tree of 16 operators
+    # builds about 524,000 nodes.
+    for f in _iff_chains(16):
+        assert node_count(ball_substitution(f)) <= 2 * node_count(f)
     started = time.perf_counter()
     for f in _iff_chains(30):
         connective_count(f)
@@ -294,6 +359,9 @@ def test_syntax_walks_visit_each_shared_node_once():
         assert fold_constants(f) is f
         found = list(subformulas(f))
         assert len(found) == len(set(found))
+        assert variables(f) == tuple(sorted({g.name for g in found if isinstance(g, Var)}))
+        assert len(compile_formula(f).code) == len(found)
+        assert node_count(ball_substitution(f)) <= 2 * node_count(f)
     # Folds that rebuild the shared nodes keep them shared.
     folded = fold_constants(parse(" <-> ".join(["[]p & @@q"] * 31)))
     assert connective_count(folded) == connective_count(parse(" <-> ".join(["[]p"] * 31)))
