@@ -167,9 +167,16 @@ def _ttd(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
 
 
 @lru_cache(maxsize=1024)
-def _clause_table(clauses: Callable, n: int, labels: tuple[str, ...]) -> tuple[Clause, ...]:
-    """The clauses that can fail: none that forbids an edge it requires."""
-    return tuple(c for c in clauses(n, labels) if not c[1] & c[2])
+def _clause_table(
+    clauses: Callable, n: int, labels: tuple[str, ...]
+) -> tuple[tuple[tuple[int, ...], int, int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The clauses that can fail, none that forbids an edge it requires,
+    each with the edge indices of its required and forbidden masks."""
+    return tuple(
+        (witness, required, forbidden, tuple(set_bits(required)), tuple(set_bits(forbidden)))
+        for witness, required, forbidden in clauses(n, labels)
+        if not required & forbidden
+    )
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,7 @@ class ClauseViolation:
 def _first_violation(
     clauses: Callable, worlds: tuple[str, ...], labels: tuple[str, ...], bits: int
 ) -> tuple | None:
-    for witness, required, forbidden in _clause_table(clauses, len(worlds), labels):
+    for witness, required, forbidden, _, _ in _clause_table(clauses, len(worlds), labels):
         if bits & required == required and not bits & forbidden:
             return tuple(worlds[i] for i in witness)
     return None
@@ -237,11 +244,11 @@ class FrameProperty:
         n = len(worlds)
         edges = edge_masks(relations, n * n, 1)
         failing = 0
-        for _, required, forbidden in _clause_table(clauses, n, labels):
+        for _, _, _, required, forbidden in _clause_table(clauses, n, labels):
             fails = every
-            for k in set_bits(required):
+            for k in required:
                 fails &= edges[k]
-            for k in set_bits(forbidden):
+            for k in forbidden:
                 fails &= ~edges[k]
             failing |= fails
         return every & ~failing
@@ -662,11 +669,12 @@ def correspondence_check(
     positive, so a weighted total of 0 means no mismatch.  Where rows are
     kept, that pass only looks for a mismatch, one part per group; at the
     first, it stops and the frame-by-frame pass lists the world count's
-    rows: every labelling with weight 1, in groups by the range of relation
-    bitmasks a worker takes, so the witness of a property-without-validity
-    mismatch is the canonically first countermodel on its frame, as a
-    per-frame sweep would find it.  Any other property gets the
-    frame-by-frame pass at every world count, in this process.  The jobs
+    rows: one group per labelling, every relation with weight 1, swept in
+    chunks as wide as one sweep holds, so the witness of a
+    property-without-validity mismatch is the canonically first
+    countermodel on its frame, as a per-frame sweep would find it.  Any
+    other property gets the frame-by-frame pass at every world count, in
+    this process.  The jobs
     run in this process when workers == 1 and across one process pool
     otherwise, and honour the frame and time budgets.
     """
@@ -706,9 +714,8 @@ def correspondence_check(
         for n in range(1, max_worlds + 1):
             _check_deadline(deadline)
             total_bits = 1 << (n * n)
-            step = 1 << (max(1, total_bits // (workers * 4)).bit_length() - 1)
-            labellings = ((labels, 1) for labels in product("ABC", repeat=n))
-            every_frame = _every_relation(n, step, labellings, ramp=False)
+            every_frame = ([(labels, range(total_bits), {1: (1 << total_bits) - 1})]
+                           for labels in product("ABC", repeat=n))
             orbits = _orbit_parts(n, len(variables), orbit_key, ramp=False)
             if keep_rows:
                 # The orbit pass then keeps no rows and only looks for a

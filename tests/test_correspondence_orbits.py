@@ -4,13 +4,16 @@ A property in `frames.PROPERTIES` is first checked on the orbit
 representatives only, each frame weighted by the size of its orbit.  The
 weighted counts are compared with the rows of the frame-by-frame check,
 which a property outside the table always gets, and a spy on the sweeps
-shows that a clean criterion sweeps the representatives only.  The per-block
+shows that a clean criterion sweeps the representatives only and that the
+frame-by-frame pass sweeps each labelling in chunks as wide as one sweep
+holds, with one worker or two.  The per-block
 readers `FrameSweep.relations_meeting` and `lowest_indices` are compared
 with a per-block reference and with `lowest_index` on aligned ranges and
 tuples, for blocks narrower and wider than a byte.
 """
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,20 +119,47 @@ def test_clean_criterion_sweeps_only_representatives(monkeypatch):
         assert len(swept) == 1 + 2 + 3
 
 
-def test_a_mismatch_falls_back_to_every_frame_only_with_rows(monkeypatch):
-    swept = []
+def test_a_mismatch_falls_back_to_every_frame_only_with_rows(monkeypatch, tmp_path):
+    """Count-only, the orbit pass alone; with rows, the orbit pass up to the
+    first mismatching representative, then the frame-by-frame pass, which
+    sweeps each labelling's relations in chunks as wide as one sweep holds,
+    whatever the worker count."""
+    log = tmp_path / "sweeps"
 
+    # The pool's workers are forked after the patch and log to the same file.
     class Spy(FrameSweep):
-        def __init__(self, frame, *args, **kwargs):
-            swept.append(len(frame.worlds))
-            super().__init__(frame, *args, **kwargs)
+        def __init__(self, chunk, *args, **kwargs):
+            if len(chunk.worlds) == 3:
+                with open(log, "a") as out:
+                    out.write(f"{''.join(chunk.labels)} {chunk.relations}\n")
+            super().__init__(chunk, *args, **kwargs)
+
+    def swept_at_three():
+        lines = log.read_text().splitlines() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return lines
 
     monkeypatch.setattr(frames, "FrameSweep", Spy)
+    names = tuple(u.name for u in ULTRAFILTERS)
+    representatives = ["".join(labels) for labels, _ in _labelling_orbits(3, names)]
+    labellings = ["".join(labels) for labels in itertools.product("ABC", repeat=3)]
     correspondence_check("transitive", "[]p -> [][]p", 3, keep_rows=False)
-    assert swept.count(3) == 3
-    swept.clear()
-    correspondence_check("transitive", "[]p -> [][]p", 3)
-    assert swept.count(3) > 27
+    assert swept_at_three() == [f"{labels} range(0, 512)" for labels in representatives]
+
+    report = correspondence_check("transitive", "[]p -> [][]p", 3)
+    failing = {row[2] for row in report.rows if row[0] == 3}
+    first = next(k for k, labels in enumerate(representatives) if labels in failing)
+    assert swept_at_three() == [
+        f"{labels} range(0, 512)" for labels in representatives[:first + 1] + labellings]
+
+    # Two variables: 16 relations per sweep, so 32 sweeps per labelling.  The
+    # orbit pass sweeps tuples of canonical relations, this pass ranges.
+    every_chunk = sorted(f"{labels} range({lo}, {lo + 16})"
+                         for labels in labellings for lo in range(0, 512, 16))
+    for workers in (1, 2):
+        correspondence_check("super_out_of_bubble", "[](p | q) -> p | q", 3, workers=workers)
+        ranges = [line for line in swept_at_three() if " range(" in line]
+        assert sorted(ranges) == every_chunk
 
 
 def test_count_only_cli_matches_the_csv_lines(capsys):

@@ -23,7 +23,7 @@ from mlml.frames import (
 )
 from mlml._sweep import ResourceBudgetExceeded
 from mlml.kripke import Frame, Model, model_valid
-from mlml.syntax import parse
+from mlml.syntax import parse, variables
 from packed_layout import group, mask_at
 
 
@@ -359,16 +359,21 @@ def test_property_without_clauses_runs_frame_by_frame():
                    for m in b.mismatches]
 
 
-def test_width_capped_chunks_match_one_sweep_per_frame():
+@pytest.mark.parametrize("name,text,directions", [
+    ("super_out_of_bubble", "[](p | q) -> p | q",
+     {"property_without_valid", "valid_without_property"}),
+    ("transitive", "[]p -> [][]p", {"property_without_valid"}),
+], ids=("two_variables", "one_variable"))
+def test_width_capped_chunks_match_one_sweep_per_frame(name, text, directions):
     """A two-variable formula at three worlds splits each labelling into
-    chunks of 16 relations; one worker, two workers and a per-frame loop
-    report the same mismatches, in both directions."""
+    chunks of 16 relations, a one-variable one sweeps all 512 at once; one
+    worker, two workers and a per-frame loop report the same mismatches."""
     from mlml._sweep import FrameSweep, compile_formula
     from mlml.algebra import Ultrafilter
     from mlml.kripke import model_to_dict
 
-    prop = PROPERTIES["super_out_of_bubble"]
-    formula = parse("[](p | q) -> p | q")
+    prop = PROPERTIES[name]
+    formula = parse(text)
     program = compile_formula(formula)
     u = Ultrafilter.from_name("e2")
 
@@ -380,7 +385,7 @@ def test_width_capped_chunks_match_one_sweep_per_frame():
     expected = []
     for n in (1, 2, 3):
         for frame in enumerate_frames(n):
-            sweep = FrameSweep(frame, ("p", "q"))
+            sweep = FrameSweep(frame, variables(formula))
             holds = prop.holds(frame)
             index = sweep.first_invalid_index(program, u)
             if holds and index is not None:
@@ -389,7 +394,7 @@ def test_width_capped_chunks_match_one_sweep_per_frame():
             elif not holds and index is None:
                 expected.append(row(frame, "valid_without_property", prop.violation(frame)))
     expected.sort(key=lambda r: r[:2])
-    assert {r[2] for r in expected} == {"property_without_valid", "valid_without_property"}
+    assert {r[2] for r in expected} == directions
     for workers in (1, 2):
         report = correspondence_check(prop, formula, 3, u, workers=workers)
         assert report.frames_checked == 6 + 144 + 13824
