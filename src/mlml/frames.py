@@ -605,6 +605,7 @@ def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
 def _recheck(
     rows: Iterable[Row],
     ultrafilters: int,
+    totals: Sequence[int],
     prop: FrameProperty,
     formula: Formula,
     variables: tuple[str, ...],
@@ -612,13 +613,17 @@ def _recheck(
     """Replay the first of the rows of each direction and ultrafilter on the
     definitional side: the countermodel with kripke's countermodel re-check,
     the violation on the property's own finder.  Finding them costs no call
-    per row."""
+    per row.  Only a direction with a nonzero total has rows, so the scan
+    stops once each such direction has a row per ultrafilter, as the
+    frame-by-frame pass lists for every property in PROPERTIES; where some
+    ultrafilter has none, it reads every row."""
+    wanted = ultrafilters * sum(1 for total in totals if total)
     first: dict[tuple[int, type], Row] = {}
     for row in rows:
         key = (row[3].generator, row[4].__class__)
         if key not in first:
             first[key] = row
-            if len(first) == 2 * ultrafilters:
+            if len(first) == wanted:
                 break
     for row in first.values():
         m = _mismatch(row, variables)
@@ -745,7 +750,7 @@ def correspondence_check(
     rows = report.rows
     if not keep_rows:
         report.totals = dict(zip(("property_without_valid", "valid_without_property"), totals))
-        _recheck(rows, len(selected), prop, formula, variables)
+        _recheck(rows, len(selected), totals, prop, formula, variables)
         report.rows = []
         return report
     # The frame encoding sorts as a string, "2:10:AB" before "2:1:AB": by
@@ -757,7 +762,7 @@ def correspondence_check(
     label_rank = {text: i for i, text in enumerate(sorted({row[2] for row in rows}))}
     rows.sort(key=lambda row: (relation_rank[row[0], row[1]] * len(label_rank)
                                + label_rank[row[2]]) * 3 + _ULTRAFILTER_RANK[row[3].generator])
-    _recheck(rows, len(selected), prop, formula, variables)
+    _recheck(rows, len(selected), totals, prop, formula, variables)
     return report
 
 
@@ -967,8 +972,11 @@ class IndiscernibilityReport:
         return not self.disagreements
 
 
-# Semantic classes kept before `indiscern` gives up with exit 3: depth 7 has
-# 2,833, about 86 KB each on the two 7-world fixtures; depth 8 has 8,130.
+# Semantic classes kept before `indiscern` gives up with exit 3.  The classes
+# new at the corpus's last level feed no later level and are not kept, so
+# depth d keeps those of depths below d: depth 8 keeps depth 7's 2,833, about
+# 86 KB each on the two 7-world fixtures, and depth 9 would keep depth 8's
+# 8,130.
 MAX_SEMANTIC_CLASSES = 4096
 
 
@@ -1008,6 +1016,16 @@ def _disagreements(
     return _formula_disagreements(sweeps, corpus_depth, selected)
 
 
+def _fingerprint(values: tuple[tuple[int, ...], ...]) -> int:
+    """The bucket key of a semantic class in _semantic_classes: the hash of
+    one of its ints, its value at the first sweep's first world.  On the
+    bubble fixtures that world is the root, which reaches every other, and
+    at depth 8 the 8,130 classes fall into 8,121 buckets.  Equal classes
+    have equal keys, and the comparison within a bucket is exact, so a
+    shared key costs time, never a class."""
+    return hash(values[0][0])
+
+
 def _semantic_classes(
     sweeps: Sequence[FrameSweep], depth: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -1017,37 +1035,53 @@ def _semantic_classes(
 
     Formulas of one class can replace each other as subformulas, so level d
     applies ~, @ and [] to the classes new at level d-1 and & to those new
-    at levels i and d-1-i, and keeps what is not yet seen.  & is
+    at levels i and d-1-i, and keeps what no class already has.  & is
     commutative and idempotent, so it takes only i <= d-1-i, and when the
     two levels are one, pairs each class only with those after it.
+
+    Classes are bucketed by `_fingerprint` and compared exactly within a
+    bucket.  A class new at level `depth` feeds no later level, so it is
+    not kept: its bucket holds its recipe, the operator and the kept
+    classes it applies to, which is rebuilt only when a later candidate
+    lands in that bucket.  MAX_SEMANTIC_CLASSES bounds the classes kept.
     """
-    def candidates(d: int) -> Iterator[list[list[int]]]:
+    def recipes(d: int) -> Iterator[tuple]:
         for x in levels[d - 1]:
             for op in (NOT, BALL, BOX):
-                yield [sweep.apply(op, v) for sweep, v in zip(sweeps, x)]
+                yield op, x
         for i in range((d + 1) // 2):
             right = levels[d - 1 - i]
             for k, x in enumerate(levels[i]):
                 for y in right[k + 1:] if i == d - 1 - i else right:
-                    yield [sweep.apply(AND, v, w) for sweep, v, w in zip(sweeps, x, y)]
+                    yield AND, x, y
+
+    def build(recipe: tuple) -> tuple[tuple[int, ...], ...]:
+        op, *operands = recipe
+        return tuple(tuple(sweep.apply(op, *values)) for sweep, *values in zip(sweeps, *operands))
 
     p = tuple(tuple(sweep.apply(VAR, "p")) for sweep in sweeps)
-    seen = {p}
+    buckets = {_fingerprint(p): [p]}
     levels = [[p]]
+    kept = 1
     yield p
     for d in range(1, depth + 1):
         new = []
-        for values in candidates(d):
-            c = tuple(map(tuple, values))
-            size = len(seen)
-            seen.add(c)  # hashes c once, where `c in seen` would hash it again
-            if len(seen) == size:
+        for recipe in recipes(d):
+            c = build(recipe)
+            bucket = buckets.setdefault(_fingerprint(c), [])
+            # A recipe starts with its opcode, a kept class with a sweep's values.
+            if any(c == (build(m) if isinstance(m[0], int) else m) for m in bucket):
                 continue
-            if size == MAX_SEMANTIC_CLASSES:
-                raise ResourceBudgetExceeded(
-                    f"more than {MAX_SEMANTIC_CLASSES} semantic classes at corpus depth {d}"
-                )
-            new.append(c)
+            if d == depth:
+                bucket.append(recipe)
+            else:
+                if kept == MAX_SEMANTIC_CLASSES:
+                    raise ResourceBudgetExceeded(
+                        f"more than {MAX_SEMANTIC_CLASSES} semantic classes at corpus depth {d}"
+                    )
+                kept += 1
+                bucket.append(c)
+                new.append(c)
             yield c
         levels.append(new)
 

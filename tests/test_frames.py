@@ -616,28 +616,59 @@ INDISCERN_SHA256 = {
         "c5388226f30133553115e9ee5abfc2fe708b9d0f36a93c52df9349a1a1be9f61"),
     4: ("9d92091d52fc5b14682be744522338af639865fa34af21c3b06c9c1783e1ac7f",
         "ef5772a23ac9401f4b4db4277d74115ef2a64f0e8a486948db3901ff00e737c0"),
+    5: ("22bc403af5e51825f1a9fcb5d2bd095c3d06955d1f84abf165abbc6f693b674c",
+        "da0387a4407f83ed684f06580cf0b48003185948cd0ea6a5cffebd8202f3b564"),
+    6: ("ebcd6287a343375158c749ebb902c45c84a1cb31fc0016e4a39e2877db9722aa",
+        "1e110d7c0e96d16ea8ef837246d5e1d4fce813c1a874a8603a21f7adf90b4314"),
 }
 
 
-@pytest.mark.parametrize("depth", sorted(INDISCERN_SHA256))
-def test_indiscern_stdout_matches_the_formula_loop(capsys, depth):
+def _indiscern_stdout_digests(capsys, depth):
     import hashlib
 
     from mlml.cli import main
 
-    for flags, digest in zip(([], ["--csv"]), INDISCERN_SHA256[depth]):
+    digests = []
+    for flags in ([], ["--csv"]):
         assert main(["indiscern", "--corpus-depth", str(depth), *flags]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    return tuple(digests)
+
+
+@pytest.mark.parametrize("depth", sorted(INDISCERN_SHA256))
+def test_indiscern_stdout_matches_the_formula_loop(capsys, depth):
+    assert _indiscern_stdout_digests(capsys, depth) == INDISCERN_SHA256[depth]
+
+
+def test_semantic_classes_do_not_rest_on_the_fingerprint(capsys, monkeypatch):
+    from mlml import frames
+
+    sweeps = _fixture_sweeps()
+    keyed = [list(frames._semantic_classes(sweeps, depth)) for depth in range(5)]
+    monkeypatch.setattr(frames, "_fingerprint", lambda values: 0)  # one bucket for all
+    for depth in range(5):
+        assert list(frames._semantic_classes(sweeps, depth)) == keyed[depth]
+        assert _indiscern_stdout_digests(capsys, depth) == INDISCERN_SHA256[depth]
 
 
 def test_indiscern_past_the_class_cap_exits_3(capsys, monkeypatch):
     from mlml import frames
     from mlml.cli import main
 
-    monkeypatch.setattr(frames, "MAX_SEMANTIC_CLASSES", 14)  # 1 + 3 + 10 up to depth 2
+    # The last level is checked, not kept: depth 2 keeps 1 + 3, depth 3
+    # must keep depth 2's 10 as well.
+    monkeypatch.setattr(frames, "MAX_SEMANTIC_CLASSES", 4)
     assert main(["indiscern", "--corpus-depth", "2"]) == 0
     assert main(["indiscern", "--corpus-depth", "3"]) == 3
     captured = capsys.readouterr()
-    assert "more than 14 semantic classes at corpus depth 3" in captured.err
+    assert "more than 4 semantic classes at corpus depth 2" in captured.err
     assert captured.out.count("\n") == 1
+
+
+def test_indiscern_keeps_no_class_of_its_last_level(capsys, monkeypatch):
+    from mlml import frames
+    from mlml.cli import main
+
+    monkeypatch.setattr(frames, "MAX_SEMANTIC_CLASSES", 1 + 3 + 10 + 25 + 76)  # depths 0-4
+    assert main(["indiscern", "--corpus-depth", "5"]) == 0
+    assert "agree on all 5909 corpus formulas" in capsys.readouterr().out
