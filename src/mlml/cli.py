@@ -350,7 +350,7 @@ def _validate_caps(args) -> None:
     for name in ("max_valuations", "max_frames", "workers", "max_worlds", "worlds",
                  "crosscheck_worlds", "time_budget"):
         value = getattr(args, name, None)
-        if value is not None and value <= 0:
+        if value is not None and not value > 0:  # true for NaN too
             raise CliError(f"--{name.replace('_', '-')} must be positive")
 
 

@@ -489,9 +489,8 @@ class CorrespondenceReport:
     frames_checked: int
     variables: tuple[str, ...] = ()
     rows: list[Row] = field(default_factory=list)  # in report order
-    # Kept instead of rows when the check keeps none: the number of
-    # mismatches in each direction.
-    totals: dict[str, int] | None = None
+    # The number of mismatches in each direction, with or without rows.
+    totals: dict[str, int] = field(default_factory=dict)
 
     @property
     def mismatches(self) -> Sequence[Mismatch]:
@@ -499,16 +498,14 @@ class CorrespondenceReport:
 
     @property
     def mismatch_count(self) -> int:
-        return len(self.rows) if self.totals is None else sum(self.totals.values())
+        return sum(self.totals.values())
 
     @property
     def clean(self) -> bool:
         return not self.mismatch_count
 
     def directions(self) -> set[str]:
-        if self.totals is not None:
-            return {direction for direction, count in self.totals.items() if count}
-        return {_direction(row[4]) for row in self.rows}
+        return {direction for direction, count in self.totals.items() if count}
 
     def csv_rows(self) -> Iterator[str]:
         """The lines of `correspond --csv` after its header, one per
@@ -657,9 +654,8 @@ def correspondence_check(
     world count, then the frame encoding as a string, then ultrafilter.  The
     report keeps them as rows and builds each Mismatch when read; the first
     of each direction and ultrafilter is re-checked here.  With
-    keep_rows=False the report keeps no rows, only the number of mismatches
-    in each direction (`totals`), and the first mismatch of each direction
-    and ultrafilter that the check met is re-checked.
+    keep_rows=False the report keeps no rows, and the first mismatch of each
+    direction and ultrafilter that the check met is re-checked.
 
     Each world count is checked by a pass over groups of weighted parts of
     its frames, one `_check_group` job per group: the job sweeps each part's
@@ -670,18 +666,18 @@ def correspondence_check(
     moving in step, maps a mismatch to a mismatch of the same direction for
     every property in PROPERTIES.  For those, the pass is over the orbit
     representatives, each frame weighted by the size of its orbit, as the
-    countermodel search scans them (see _orbit_parts).  The weights are
-    positive, so a weighted total of 0 means no mismatch.  Where rows are
-    kept, that pass only looks for a mismatch, one part per group; at the
-    first, it stops and the frame-by-frame pass lists the world count's
-    rows: one group per labelling, every relation with weight 1, swept in
-    chunks as wide as one sweep holds, so the witness of a
-    property-without-validity mismatch is the canonically first
-    countermodel on its frame, as a per-frame sweep would find it.  Any
-    other property gets the frame-by-frame pass at every world count, in
-    this process.  The jobs
-    run in this process when workers == 1 and across one process pool
-    otherwise, and honour the frame and time budgets.
+    countermodel search scans them (see _orbit_parts), always run to its
+    end.  The weights are positive, so a weighted total of 0 means no
+    mismatch.  Where rows are kept and the world count has a mismatch, the
+    frame-by-frame pass then lists its rows: one group per labelling, every
+    relation with weight 1, swept in chunks as wide as one sweep holds, so
+    the witness of a property-without-validity mismatch is the canonically
+    first countermodel on its frame, as a per-frame sweep would find it.
+    Its frame and mismatch counts must equal the weighted ones, or the
+    check raises AssertionError.  Any other property gets the frame-by-frame
+    pass alone at every world count, in this process.  The jobs run in this
+    process when workers == 1 and across one process pool otherwise, and
+    honour the frame and time budgets.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -716,40 +712,41 @@ def correspondence_check(
         pool_context = ProcessPoolExecutor(max_workers=workers)
     with pool_context as pool:
         run = map if pool is None else pool.map
+
+        def check(groups, every_row: bool) -> tuple[int, list[int], list[Row]]:
+            """One pass over the world count's groups: the sums of their jobs."""
+            checked, counts, found = 0, [0, 0], []
+            for group_checked, group_counts, group_rows in run(_check_group, (
+                (prop, program, variables, n, group, selected, max_valuations, every_row,
+                 deadline)
+                for group in groups
+            )):
+                checked += group_checked
+                counts = [x + y for x, y in zip(counts, group_counts)]
+                found += group_rows
+            return checked, counts, found
+
         for n in range(1, max_worlds + 1):
             _check_deadline(deadline)
             total_bits = 1 << (n * n)
             every_frame = ([(labels, range(total_bits), {1: (1 << total_bits) - 1})]
                            for labels in product("ABC", repeat=n))
-            orbits = _orbit_parts(n, len(variables), orbit_key, ramp=False)
-            if keep_rows:
-                # The orbit pass then keeps no rows and only looks for a
-                # mismatch, so one part per group lets it stop soonest.
-                orbits = ([part] for group in orbits for part in group)
-            for groups in (orbits, every_frame) if symmetric else (every_frame,):
-                # A pass run to its end gives the world count's counts and
-                # rows; with rows, a mismatch stops the orbit pass and the
-                # frame-by-frame pass lists them.
-                every_row = keep_rows and groups is every_frame
-                checked, counts, found = 0, [0, 0], []
-                for group_checked, group_counts, group_rows in run(_check_group, (
-                    (prop, program, variables, n, group, selected, max_valuations, every_row,
-                     deadline)
-                    for group in groups
-                )):
-                    checked += group_checked
-                    counts = [x + y for x, y in zip(counts, group_counts)]
-                    found += group_rows
-                    if keep_rows and not every_row and found:
-                        break
-                else:
-                    report.frames_checked += checked
-                    totals = [x + y for x, y in zip(totals, counts)]
-                    report.rows += found
-                    break
+            if not symmetric:
+                checked, counts, found = check(every_frame, keep_rows)
+            else:
+                checked, counts, found = check(
+                    _orbit_parts(n, len(variables), orbit_key, ramp=False), False)
+                if keep_rows and any(counts):
+                    every_checked, every_counts, found = check(every_frame, True)
+                    if (every_checked, every_counts) != (checked, counts):
+                        raise AssertionError(
+                            "orbit representatives and the frame-by-frame pass disagree")
+            report.frames_checked += checked
+            totals = [x + y for x, y in zip(totals, counts)]
+            report.rows += found
+    report.totals = dict(zip(("property_without_valid", "valid_without_property"), totals))
     rows = report.rows
     if not keep_rows:
-        report.totals = dict(zip(("property_without_valid", "valid_without_property"), totals))
         _recheck(rows, len(selected), totals, prop, formula, variables)
         report.rows = []
         return report
@@ -990,12 +987,14 @@ def indiscernibility_check(
     tell super-out-of-the-bubble apart from its failure."""
     named = fixtures()
     selected = _resolve_ultrafilters(ultrafilters)
+    # Counting the corpus takes longer than the class cap at deep corpora.
+    disagreements = _disagreements(named["soob_F"], named["soob_Fprime"], corpus_depth,
+                                   selected, max_valuations)
     return IndiscernibilityReport(
         corpus_depth=corpus_depth,
         formulas_checked=syntax.corpus_size(1, corpus_depth),
         ultrafilters=tuple(u.name for u in selected),
-        disagreements=_disagreements(named["soob_F"], named["soob_Fprime"], corpus_depth,
-                                     selected, max_valuations),
+        disagreements=disagreements,
     )
 
 

@@ -214,6 +214,9 @@ def test_out_of_range_sizes_are_usage_errors(capsys):
     assert code == 2 and "--worlds must be positive" in err
     code, _, err = run(capsys, "indiscern", "--corpus-depth", "-1")
     assert code == 2 and "--corpus-depth must be >= 0" in err
+    code, out, err = run(capsys, "correspond", "--property", "reflexive",
+                         "--formula", "[]p -> p", "--max-worlds", "1", "--time-budget", "nan")
+    assert code == 2 and out == "" and "--time-budget must be positive" in err
 
 
 def test_checkproof_accept_and_reject(capsys, tmp_path):

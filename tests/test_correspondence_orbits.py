@@ -89,13 +89,17 @@ def test_weighted_totals_count_the_unreduced_rows(unreduced_rows, name, formula)
 
 @pytest.mark.parametrize("name,formula", CRITERIA)
 def test_rows_match_the_unreduced_rows(unreduced_rows, name, formula):
+    rows = unreduced_rows[name, formula]
+    without_valid = sum(1 for row in rows if isinstance(row[4], int))
+    totals = {"property_without_valid": without_valid,
+              "valid_without_property": len(rows) - without_valid}
     report = correspondence_check(name, formula, 3)
-    assert report.rows == unreduced_rows[name, formula]
-    assert report.totals is None
+    assert report.rows == rows
+    assert report.totals == totals
     assert report.mismatch_count == len(report.rows)
     if (name, formula) in POOLED:
         pooled = correspondence_check(name, formula, 3, workers=2)
-        assert pooled.rows == report.rows and pooled.totals is None
+        assert pooled.rows == report.rows and pooled.totals == totals
         assert list(pooled.csv_rows()) == list(report.csv_rows())
 
 
@@ -120,10 +124,10 @@ def test_clean_criterion_sweeps_only_representatives(monkeypatch):
 
 
 def test_a_mismatch_falls_back_to_every_frame_only_with_rows(monkeypatch, tmp_path):
-    """Count-only, the orbit pass alone; with rows, the orbit pass up to the
-    first mismatching representative, then the frame-by-frame pass, which
-    sweeps each labelling's relations in chunks as wide as one sweep holds,
-    whatever the worker count."""
+    """Count-only, the orbit pass alone; with rows, the same orbit pass run
+    to its end, then the frame-by-frame pass, which sweeps each labelling's
+    relations in chunks as wide as one sweep holds, whatever the worker
+    count."""
     log = tmp_path / "sweeps"
 
     # The pool's workers are forked after the patch and log to the same file.
@@ -146,20 +150,40 @@ def test_a_mismatch_falls_back_to_every_frame_only_with_rows(monkeypatch, tmp_pa
     correspondence_check("transitive", "[]p -> [][]p", 3, keep_rows=False)
     assert swept_at_three() == [f"{labels} range(0, 512)" for labels in representatives]
 
-    report = correspondence_check("transitive", "[]p -> [][]p", 3)
-    failing = {row[2] for row in report.rows if row[0] == 3}
-    first = next(k for k, labels in enumerate(representatives) if labels in failing)
+    correspondence_check("transitive", "[]p -> [][]p", 3)
     assert swept_at_three() == [
-        f"{labels} range(0, 512)" for labels in representatives[:first + 1] + labellings]
+        f"{labels} range(0, 512)" for labels in representatives + labellings]
 
     # Two variables: 16 relations per sweep, so 32 sweeps per labelling.  The
     # orbit pass sweeps tuples of canonical relations, this pass ranges.
+    correspondence_check("super_out_of_bubble", "[](p | q) -> p | q", 3, keep_rows=False)
+    orbit_chunks = sorted(swept_at_three())
+    assert orbit_chunks and not any(" range(" in line for line in orbit_chunks)
     every_chunk = sorted(f"{labels} range({lo}, {lo + 16})"
                          for labels in labellings for lo in range(0, 512, 16))
     for workers in (1, 2):
         correspondence_check("super_out_of_bubble", "[](p | q) -> p | q", 3, workers=workers)
-        ranges = [line for line in swept_at_three() if " range(" in line]
-        assert sorted(ranges) == every_chunk
+        swept = swept_at_three()
+        assert sorted(line for line in swept if " range(" not in line) == orbit_chunks
+        assert sorted(line for line in swept if " range(" in line) == every_chunk
+
+
+def test_rows_are_checked_against_the_weighted_counts(monkeypatch):
+    """With rows kept, the frame-by-frame pass must count the frames and
+    mismatches that the orbit pass weighs: one part's weight doubled makes
+    them disagree."""
+    orbit_parts = frames._orbit_parts
+
+    def doubled(*args, **kwargs):
+        groups = list(orbit_parts(*args, **kwargs))
+        (labels, relations, weights), *rest = groups[0]
+        groups[0] = [(labels, relations, {2 * w: units for w, units in weights.items()}),
+                     *rest]
+        return groups
+
+    monkeypatch.setattr(frames, "_orbit_parts", doubled)
+    with pytest.raises(AssertionError, match="frame-by-frame pass disagree"):
+        correspondence_check("transitive", "[]p -> [][]p", 3)
 
 
 def test_count_only_cli_matches_the_csv_lines(capsys):

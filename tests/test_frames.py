@@ -665,6 +665,18 @@ def test_indiscern_past_the_class_cap_exits_3(capsys, monkeypatch):
     assert captured.out.count("\n") == 1
 
 
+def test_indiscern_reaches_the_class_cap_before_counting_the_corpus(capsys, monkeypatch):
+    from mlml import frames
+    from mlml.cli import main
+
+    counted = []
+    monkeypatch.setattr(frames, "MAX_SEMANTIC_CLASSES", 4)
+    monkeypatch.setattr(frames.syntax, "corpus_size", lambda *args: counted.append(args))
+    assert main(["indiscern", "--corpus-depth", "100000"]) == 3
+    assert "more than 4 semantic classes at corpus depth 2" in capsys.readouterr().err
+    assert counted == []
+
+
 def test_indiscern_keeps_no_class_of_its_last_level(capsys, monkeypatch):
     from mlml import frames
     from mlml.cli import main
