@@ -15,6 +15,7 @@ function of arguments and input files; nothing is randomized.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -198,13 +199,20 @@ def _cmd_correspond(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.count and not args.reduce:
+        # A count has over 3n²/10 digits: one surely past the interpreter's
+        # int-to-str limit (0: none) is not built; one just past it raises.
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        with contextlib.suppress(ValueError):
+            if not limit or 3 * args.worlds ** 2 <= 10 * limit:
+                print(frames.count_frames(args.worlds))
+                return EXIT_OK
+        raise ResourceBudgetExceeded(f"frame count on {args.worlds} worlds over {limit} digits")
+    found = frames.enumerate_frames(args.worlds, reduce_isomorphism=args.reduce)
     if args.count:
-        total = 0
-        for _ in frames.enumerate_frames(args.worlds, reduce_isomorphism=args.reduce):
-            total += 1
-        print(total)
+        print(sum(1 for _ in found))
         return EXIT_OK
-    for frame in frames.enumerate_frames(args.worlds, reduce_isomorphism=args.reduce):
+    for frame in found:
         print(frames.frame_encoding(frame))
     return EXIT_OK
 

@@ -28,10 +28,11 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import kripke, syntax
@@ -343,17 +344,16 @@ def count_frames(n: int) -> int:
 
 # A part of a scan over weighted frames: a labelling, a relation chunk, and
 # its frame weights, each weight mapped to the units of the chunk that carry
-# it; a unit with no weight is padding.  Correspondence sweeps a part wider
-# than one sweep holds in chunks of `relation_chunk_width`.
+# it; a unit with no weight is padding.
 _Part = tuple[tuple[str, ...], "range | tuple[int, ...]", dict[int, int]]
 
 
 def _every_relation(
     n: int, width: int, labellings: Iterable[tuple[tuple[str, ...], int]], ramp: bool = True
 ) -> Iterator[list[_Part]]:
-    """Every relation on n worlds in aligned ranges, each with every
-    (labelling, weight) pair: 1, 1, 2, 4, ... relations wide up to `width`
-    with `ramp`, so that an early hit stays cheap, else `width` wide."""
+    """Every relation on n worlds in aligned ranges, a group per range with
+    every (labelling, weight) pair: 1, 1, 2, 4, ... relations wide up to
+    `width` with `ramp`, so that an early hit stays cheap, else `width` wide."""
     labellings = list(labellings)
     lo = 0
     while lo < 1 << (n * n):
@@ -361,6 +361,13 @@ def _every_relation(
         lo = relations.stop
         every = (1 << len(relations)) - 1
         yield [(labels, relations, {weight: every}) for labels, weight in labellings]
+
+
+def _every_frame(n: int, variables: int, ramp: bool) -> Iterator[list[_Part]]:
+    """Every labelling on n worlds with weight 1, in relation ranges as wide
+    as one sweep holds: the frame-by-frame pass of both batteries."""
+    labellings = ((labels, 1) for labels in product("ABC", repeat=n))
+    return _every_relation(n, relation_chunk_width(n, variables), labellings, ramp)
 
 
 def _orbit_frames(
@@ -550,52 +557,48 @@ def _check_deadline(deadline: float | None) -> None:
 
 def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
     """Check one group of weighted parts of the frames on n worlds, each
-    part's relations in chunks as wide as one sweep holds: per chunk, one
-    packed sweep with validity and the property reduced to one bit per
-    relation.  Returns the weighted count of the group's frames, its
-    weighted mismatch counts in the property-without-validity and the
-    validity-without-property directions, and its rows: every mismatch with
-    `every_row`, else the first of each direction and ultrafilter.  No Frame
-    is built unless the property has no clauses."""
+    part's chunk no wider than one sweep holds: per part, one packed sweep,
+    validity and the property reduced to one bit per relation.  Returns the
+    weighted count of the group's frames, its weighted mismatch counts in
+    the property-without-validity and the validity-without-property
+    directions, and its rows: every mismatch with `every_row`, else the
+    first of each direction and ultrafilter.  No Frame is built unless the
+    property has no clauses."""
     prop, program, var_names, n, group, selected, max_valuations, every_row, deadline = job
     worlds = _world_names(n)
-    width = relation_chunk_width(n, len(var_names))
     checked, counts, rows, met = 0, [0, 0], [], set()
-    for labels, relations, part_weights in group:
+    for labels, chunk, weights in group:
+        _check_deadline(deadline)
         text = "".join(labels)
-        for lo in range(0, len(relations), width):
-            _check_deadline(deadline)
-            chunk = relations[lo:lo + width]
-            every = (1 << len(chunk)) - 1
-            weights = [(weight, units >> lo & every) for weight, units in part_weights.items()]
-            carried = 0  # the units that carry a weight; the others are padding
-            for _, units in weights:
-                carried |= units
-            checked += sum(weight * units.bit_count() for weight, units in weights)
-            holds = prop.relation_mask(worlds, labels, chunk)
-            sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
-                               max_valuations=max_valuations)
-            for u in selected:
-                invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
-                mismatched = (every ^ sweep.relations_meeting(invalid) ^ holds) & carried
-                for direction, found in enumerate((mismatched & holds, mismatched & ~holds)):
-                    if not found:
-                        continue
-                    counts[direction] += sum(weight * (found & units).bit_count()
-                                             for weight, units in weights)
-                    if every_row:
-                        at = set_bits(found)
-                    elif (direction, u.generator) not in met:
-                        met.add((direction, u.generator))
-                        at = [(found & -found).bit_length() - 1]
-                    else:
-                        continue
-                    witnesses = (
-                        (prop._violation_at(worlds, labels, chunk[r]) for r in at) if direction
-                        else sweep.lowest_indices(invalid, at)
-                    )
-                    rows.extend((n, chunk[r], text, u, witness)
-                                for r, witness in zip(at, witnesses))
+        every = (1 << len(chunk)) - 1
+        carried = 0  # the units that carry a weight; the others are padding
+        for units in weights.values():
+            carried |= units
+        checked += sum(weight * units.bit_count() for weight, units in weights.items())
+        holds = prop.relation_mask(worlds, labels, chunk)
+        sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
+                           max_valuations=max_valuations)
+        for u in selected:
+            invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
+            mismatched = (every ^ sweep.relations_meeting(invalid) ^ holds) & carried
+            for direction, found in enumerate((mismatched & holds, mismatched & ~holds)):
+                if not found:
+                    continue
+                counts[direction] += sum(weight * (found & units).bit_count()
+                                         for weight, units in weights.items())
+                if every_row:
+                    at = set_bits(found)
+                elif (direction, u.generator) not in met:
+                    met.add((direction, u.generator))
+                    at = [(found & -found).bit_length() - 1]
+                else:
+                    continue
+                witnesses = (
+                    (prop._violation_at(worlds, labels, chunk[r]) for r in at) if direction
+                    else sweep.lowest_indices(invalid, at)
+                )
+                rows.extend((n, chunk[r], text, u, witness)
+                            for r, witness in zip(at, witnesses))
     return checked, counts, rows
 
 
@@ -658,8 +661,8 @@ def correspondence_check(
     direction and ultrafilter that the check met is re-checked.
 
     Each world count is checked by a pass over groups of weighted parts of
-    its frames, one `_check_group` job per group: the job sweeps each part's
-    relations in chunks packed into one operand (see _sweep) and returns
+    its frames, one `_check_group` job per group: the job sweeps each part,
+    a chunk of relations packed into one operand (see _sweep), and returns
     the group's weighted frame count, its weighted mismatch counts per
     direction and its rows; `frames_checked` and `totals` are their sums.
     Renaming the worlds, and permuting the atoms with the ultrafilters
@@ -669,15 +672,15 @@ def correspondence_check(
     countermodel search scans them (see _orbit_parts), always run to its
     end.  The weights are positive, so a weighted total of 0 means no
     mismatch.  Where rows are kept and the world count has a mismatch, the
-    frame-by-frame pass then lists its rows: one group per labelling, every
-    relation with weight 1, swept in chunks as wide as one sweep holds, so
+    frame-by-frame pass of the search (see _every_frame) lists its rows, so
     the witness of a property-without-validity mismatch is the canonically
     first countermodel on its frame, as a per-frame sweep would find it.
     Its frame and mismatch counts must equal the weighted ones, or the
     check raises AssertionError.  Any other property gets the frame-by-frame
     pass alone at every world count, in this process.  The jobs run in this
-    process when workers == 1 and across one process pool otherwise, and
-    honour the frame and time budgets.
+    process when workers == 1 and across one process pool otherwise, at
+    most 2 * workers ahead of the one whose result is read, and honour the
+    frame and time budgets.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -686,9 +689,10 @@ def correspondence_check(
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     selected = _resolve_ultrafilters(ultrafilters)
-    if max_frames is not None and sum(
-        count_frames(n) for n in range(1, max_worlds + 1)
-    ) > max_frames:
+    if max_frames is not None and any(
+        total > max_frames
+        for total in accumulate(count_frames(n) for n in range(1, max_worlds + 1))
+    ):
         raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
@@ -711,16 +715,29 @@ def correspondence_check(
 
         pool_context = ProcessPoolExecutor(max_workers=workers)
     with pool_context as pool:
-        run = map if pool is None else pool.map
+
+        def run(jobs: Iterator[tuple]) -> Iterator[tuple[int, list[int], list[Row]]]:
+            """The jobs' results in order, with at most 2 * workers jobs
+            submitted to the pool ahead of the one read."""
+            if pool is None:
+                yield from map(_check_group, jobs)
+                return
+            pending: deque = deque()
+            for job in jobs:
+                pending.append(pool.submit(_check_group, job))
+                if len(pending) > 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
 
         def check(groups, every_row: bool) -> tuple[int, list[int], list[Row]]:
             """One pass over the world count's groups: the sums of their jobs."""
             checked, counts, found = 0, [0, 0], []
-            for group_checked, group_counts, group_rows in run(_check_group, (
+            for group_checked, group_counts, group_rows in run(
                 (prop, program, variables, n, group, selected, max_valuations, every_row,
                  deadline)
                 for group in groups
-            )):
+            ):
                 checked += group_checked
                 counts = [x + y for x, y in zip(counts, group_counts)]
                 found += group_rows
@@ -728,9 +745,7 @@ def correspondence_check(
 
         for n in range(1, max_worlds + 1):
             _check_deadline(deadline)
-            total_bits = 1 << (n * n)
-            every_frame = ([(labels, range(total_bits), {1: (1 << total_bits) - 1})]
-                           for labels in product("ABC", repeat=n))
+            every_frame = _every_frame(n, len(variables), ramp=False)
             if not symmetric:
                 checked, counts, found = check(every_frame, keep_rows)
             else:
@@ -889,9 +904,7 @@ def _countermodel_scan(
             if model is None and seen + count <= limit:
                 seen += count
                 continue
-        labellings = ((labels, 1) for labels in product("ABC", repeat=n))
-        width = relation_chunk_width(n, len(var_names))
-        model, count = scan(n, _every_relation(n, width, labellings), limit - seen)
+        model, count = scan(n, _every_frame(n, len(var_names), ramp=True), limit - seen)
         seen += count
         if seen > limit:
             raise ResourceBudgetExceeded(f"frame budget of {max_frames} exhausted")

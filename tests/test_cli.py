@@ -203,6 +203,27 @@ def test_enumerate(capsys):
     assert len(out.splitlines()) == 6
 
 
+@pytest.mark.parametrize("worlds,digits", [(4, 7), (118, 4248), (119, None)])
+def test_enumerate_count_is_arithmetic(capsys, monkeypatch, worlds, digits):
+    """`--count` builds no frame.  From 119 worlds the count has more than
+    the 4,300 digits that Python 3.11 converts to text by default: exit 3."""
+    def enumerate_frames(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(frames, "enumerate_frames", enumerate_frames)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "enumerate", "--worlds", str(worlds), "--count")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if digits is None:
+        assert code == 3 and out == "" and err.startswith("resource cap exceeded: ")
+    else:
+        assert code == 0 and out == f"{frames.count_frames(worlds)}\n"
+        assert len(out) == digits + 1
+
+
 def test_indiscern(capsys):
     code, out, _ = run(capsys, "indiscern", "--corpus-depth", "1")
     assert code == 0

@@ -5,13 +5,15 @@ representatives only, each frame weighted by the size of its orbit.  The
 weighted counts are compared with the rows of the frame-by-frame check,
 which a property outside the table always gets, and a spy on the sweeps
 shows that a clean criterion sweeps the representatives only and that the
-frame-by-frame pass sweeps each labelling in chunks as wide as one sweep
-holds, with one worker or two.  The per-block
+frame-by-frame pass sweeps each labelling in ranges as wide as one sweep
+holds, with one worker or two.  No part is wider than one sweep, and the
+pool is read through a window of 2 * workers jobs.  The per-block
 readers `FrameSweep.relations_meeting` and `lowest_indices` are compared
 with a per-block reference and with `lowest_index` on aligned ranges and
 tuples, for blocks narrower and wider than a byte.
 """
 
+import concurrent.futures
 import functools
 import itertools
 
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlml import frames
 from mlml._orbits import _labelling_orbits
-from mlml._sweep import FrameSweep, RelationChunk
+from mlml._sweep import FrameSweep, RelationChunk, relation_chunk_width
 from mlml.algebra import ULTRAFILTERS
 from mlml.cli import main
 from mlml.frames import PROPERTIES, FrameProperty, correspondence_check, count_frames
@@ -125,9 +127,9 @@ def test_clean_criterion_sweeps_only_representatives(monkeypatch):
 
 def test_a_mismatch_falls_back_to_every_frame_only_with_rows(monkeypatch, tmp_path):
     """Count-only, the orbit pass alone; with rows, the same orbit pass run
-    to its end, then the frame-by-frame pass, which sweeps each labelling's
-    relations in chunks as wide as one sweep holds, whatever the worker
-    count."""
+    to its end, then the frame-by-frame pass, which sweeps every labelling
+    over ranges of relations as wide as one sweep holds, one part per
+    labelling and range, whatever the worker count."""
     log = tmp_path / "sweeps"
 
     # The pool's workers are forked after the patch and log to the same file.
@@ -166,6 +168,61 @@ def test_a_mismatch_falls_back_to_every_frame_only_with_rows(monkeypatch, tmp_pa
         swept = swept_at_three()
         assert sorted(line for line in swept if " range(" not in line) == orbit_chunks
         assert sorted(line for line in swept if " range(" in line) == every_chunk
+
+
+# A two-variable criterion: 16 relations per sweep at three worlds, and
+# mismatches there, so that both passes run.
+TWO_VARIABLES = ("super_out_of_bubble", "[](p | q) -> p | q")
+
+
+def test_no_part_is_wider_than_one_sweep(monkeypatch):
+    parts = []
+    check_group = frames._check_group
+
+    def spy(job):
+        n, group = job[3], job[4]
+        parts.extend((n, relations) for _, relations, _ in group)
+        return check_group(job)
+
+    monkeypatch.setattr(frames, "_check_group", spy)
+    assert correspondence_check(*TWO_VARIABLES, 3).rows
+    at_three = [relations for n, relations in parts if n == 3]
+    # Canonical tuples from the orbit pass, ranges from the frame-by-frame pass.
+    assert {type(relations) for relations in at_three} == {tuple, range}
+    assert max(map(len, at_three)) == relation_chunk_width(3, 2) == 16
+    assert all(len(relations) <= relation_chunk_width(n, 2) for n, relations in parts)
+
+
+def test_the_pool_is_read_through_a_window(monkeypatch):
+    """A pool that runs each job as it is submitted, and records at each
+    read how many jobs were submitted after the one read: never more than
+    2 * workers, and the report is that of one worker."""
+    submitted, ahead = [], []
+
+    class Read(concurrent.futures.Future):
+        def result(self, timeout=None):
+            ahead.append(len(submitted) - 1 - self.index)
+            return super().result(timeout)
+
+    class Inline(concurrent.futures.Executor):
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, *args):
+            future = Read()
+            future.index = len(submitted)
+            future.set_result(fn(*args))
+            submitted.append(future)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    one = correspondence_check(*TWO_VARIABLES, 3)
+    assert not submitted
+    two = correspondence_check(*TWO_VARIABLES, 3, workers=2)
+    assert len(ahead) == len(submitted) > 2 * 2
+    assert max(ahead) == 2 * 2
+    assert (two.rows, two.totals, two.frames_checked) == (one.rows, one.totals,
+                                                          one.frames_checked)
 
 
 def test_rows_are_checked_against_the_weighted_counts(monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mlml import frames
 from mlml.frames import (
     PROPERTIES,
     correspondence_check,
@@ -145,6 +146,18 @@ def test_correspondence_time_budget():
 def test_correspondence_frame_budget():
     with pytest.raises(ResourceBudgetExceeded):
         correspondence_check("reflexive", "[]p -> p", 2, max_frames=10)
+
+
+def test_the_frame_budget_stops_counting_once_passed(monkeypatch):
+    """The running total passes a budget of 10 at two worlds, 6 + 144
+    frames: the counts of more worlds, whose digits grow with the square of
+    the world count, are never computed."""
+    counted = []
+    monkeypatch.setattr(frames, "count_frames",
+                        lambda n: counted.append(n) or count_frames(n))
+    with pytest.raises(ResourceBudgetExceeded, match="frame budget of 10 exhausted"):
+        correspondence_check("reflexive", "[]p -> p", 1000, max_frames=10)
+    assert len(counted) <= 2
 
 
 def test_one_direction_preservation_for_serial_and_symmetric():

@@ -128,6 +128,10 @@ def _frames_reached(frame, frame_filter) -> int:
 # countermodel has labels A, C, and A, B, in its orbit under all of S_3, has
 # none on that relation.
 @example(([parse("~p & <>p")], parse("p"), 2, ULTRAFILTERS[1:2], None, 4 ** 10, None))
+# The 42nd frame that passes the filter is the first countermodel.  The
+# orbit pass stops at the budget before it meets one, which does not show
+# that there is none, so the search goes on frame by frame and finds it.
+@example(([parse("p")], parse("[-]p"), 3, ULTRAFILTERS[:1], "super_out_of_bubble", 4 ** 10, 42))
 def test_chunked_search_matches_the_per_frame_search(case):
     premises, goal, max_worlds, ultrafilters, frame_filter, max_valuations, max_frames = case
     prop = PROPERTIES[frame_filter] if isinstance(frame_filter, str) else frame_filter
