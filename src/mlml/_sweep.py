@@ -208,12 +208,7 @@ def relation_bit_pattern(bit: int, unit_bits: int, count: int) -> int:
     total = unit_bits * count
     if half >= total:
         return 0
-    value = ((1 << half) - 1) << half
-    span = 2 * half
-    while span < total:
-        value |= value << span
-        span *= 2
-    return value
+    return _replicate(((1 << half) - 1) << half, 2 * half, total // (2 * half))
 
 
 def set_bits(mask: int) -> list[int]:
@@ -543,10 +538,7 @@ class FrameSweep:
             return 0
         block = self.valuation_count
         if self._block_tops is None:
-            lanes, span, total = 1, block, block * len(self.relations)
-            while span < total:
-                lanes |= lanes << span
-                span *= 2
+            lanes = _replicate(1, block, len(self.relations))
             high = lanes << (block - 1)
             self._block_tops = (high, self._ones ^ high, high - lanes)
         high, low, below_high = self._block_tops

@@ -208,11 +208,10 @@ def _cmd_enumerate(args) -> int:
                 print(frames.count_frames(args.worlds))
                 return EXIT_OK
         raise ResourceBudgetExceeded(f"frame count on {args.worlds} worlds over {limit} digits")
-    found = frames.enumerate_frames(args.worlds, reduce_isomorphism=args.reduce)
     if args.count:
-        print(sum(1 for _ in found))
+        print(sum(1 for _ in frames.least_frames(args.worlds)))
         return EXIT_OK
-    for frame in found:
+    for frame in frames.enumerate_frames(args.worlds, reduce_isomorphism=args.reduce):
         print(frames.frame_encoding(frame))
     return EXIT_OK
 

@@ -42,8 +42,6 @@ from .syntax import (
     Ball,
     Bot,
     Box,
-    BoxDiff,
-    BoxSame,
     Diamond,
     Formula,
     Iff,
@@ -119,26 +117,22 @@ def judgment(premises: Iterable[Formula], conclusion: Formula) -> Judgment:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Meta:
-    """Metavariable leaf inside a rule scheme."""
-
-    name: str
-
-
-_PHI = Meta("phi")
-_PSI = Meta("psi")
+_PHI = Var("phi")
+_PSI = Var("psi")
 
 
 @dataclass(frozen=True)
 class Scheme:
-    premises: tuple
-    conclusion: object
+    premises: tuple[Formula, ...]
+    conclusion: Formula
     axiom: bool = False
 
 
-# Each tag maps to its scheme variants; a step is well-formed when some
-# variant matches.  BR is bidirectional and BF covers both connectives.
+# The calculus: each tag maps to its scheme variants, and a step is
+# well-formed when some variant matches.  The variables of a scheme are its
+# metavariables, phi and psi.  BR is bidirectional and BF covers both
+# connectives.  `prop4.rule_soundness_report` checks every modal-free
+# variant of this table, so an edit here is checked there too.
 RULE_SCHEMES: dict[str, tuple[Scheme, ...]] = {
     "DB": (Scheme((), Ball(Ball(_PHI)), axiom=True),),
     "BR": (
@@ -187,11 +181,11 @@ RULE_SCHEMES: dict[str, tuple[Scheme, ...]] = {
 
 RULE_TAGS = ("Premise", "Weaken", "TautCons", "IB", "IN") + tuple(RULE_SCHEMES)
 
-_UNARY = (Not, Ball, Box, Diamond, BoxSame, BoxDiff)
 
-
-def _match(pattern, f: Formula, env: dict[str, Formula]) -> dict[str, Formula] | None:
-    if isinstance(pattern, Meta):
+def _match(pattern: Formula, f: Formula, env: dict[str, Formula]) -> dict[str, Formula] | None:
+    """The binding of env extended so that f instantiates the pattern, whose
+    variables are metavariables, or None."""
+    if isinstance(pattern, Var):
         bound = env.get(pattern.name)
         if bound is None:
             out = dict(env)
@@ -200,11 +194,9 @@ def _match(pattern, f: Formula, env: dict[str, Formula]) -> dict[str, Formula] |
         return env if bound == f else None
     if type(pattern) is not type(f):
         return None
-    if isinstance(pattern, Var):
-        return env if pattern.name == f.name else None
     if isinstance(pattern, (Top, Bot)):
         return env
-    if isinstance(pattern, _UNARY):
+    if isinstance(pattern, syntax._UNARY_TYPES):
         return _match(pattern.sub, f.sub, env)
     out = _match(pattern.left, f.left, env)
     if out is None:

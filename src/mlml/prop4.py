@@ -8,11 +8,12 @@ its own: `eval4` is `kripke.eval_formula` on that model, and consequence is
 `kripke.find_frame_countermodel` on that frame, with the premises.  Every
 connective here is value-functional, so that search is exact, and for the
 same reason the schematic inference rules of the propositional calculus can
-be checked on single-variable instantiations; `rule_soundness_report` does
-exactly that for the eleven value-functional schemes and handles ball
-introduction (a rule about theoremhood, not values) by checking that every
-formula in the bundled theorem list evaluates to exactly 1 under every
-assignment: f is 1 exactly where `@f & f` is designated.
+be checked with their metavariables read as variables;
+`rule_soundness_report` does exactly that for every modal-free scheme of
+`proofs.RULE_SCHEMES`, spot-checks classical logic on the extended language,
+and handles ball introduction (a rule about theoremhood, not values) by
+checking that every formula in the bundled theorem list evaluates to exactly
+1 under every assignment: f is 1 exactly where `@f & f` is designated.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping
 
 from itertools import product
 
-from . import algebra, kripke, syntax
+from . import algebra, kripke, proofs, syntax
 from .algebra import BOT, E1, E23, TOP
 from .syntax import Formula
 
@@ -150,7 +151,7 @@ THEOREM_BUNDLE: tuple[str, ...] = (
 )
 
 # Classical consequences used to spot-check the classical-logic rule on the
-# extended language (the eleventh value-functional scheme of the battery).
+# extended language.
 _CLASSICAL_BATTERY: tuple[tuple[tuple[str, ...], str], ...] = (
     ((), "x | ~x"),
     ((), "(x -> y) -> (x -> y)"),
@@ -171,49 +172,26 @@ class RuleCheck:
     witness: str = ""
 
 
-def _scheme(rule: str, premise_texts: tuple[str, ...], goal_text: str) -> RuleCheck:
-    premises = tuple(syntax.parse(t) for t in premise_texts)
-    goal = syntax.parse(goal_text)
-    result = consequence4(premises, goal)
-    statement = ", ".join(premise_texts) + " |- " + goal_text if premise_texts else "|- " + goal_text
-    return RuleCheck(rule, statement, result.holds, result.witness_text())
-
-
 def rule_soundness_report() -> list[RuleCheck]:
     """Semantic check of every propositional rule scheme.
 
-    Metavariables are instantiated with the distinct fresh variables x and y;
-    value-functionality of all connectives makes this exhaustive over the
-    schemes.  BR is an interderivability, so both directions must pass for
-    its row.  The final row is the empirical ball-introduction check over
-    THEOREM_BUNDLE.
+    One row per modal-free tag of `proofs.RULE_SCHEMES`, in table order,
+    each variant checked as it stands: its metavariables phi and psi are
+    variables here, and value-functionality of all connectives makes this
+    exhaustive over the scheme.  A row passes when every variant does (both
+    directions of BR, both forms of BF), and its witness is the first
+    failing variant's.  Then the classical battery, and last the empirical
+    ball-introduction check over THEOREM_BUNDLE.
     """
     rows: list[RuleCheck] = []
-    rows.append(_scheme("DB", (), "@@x"))
-
-    br_fwd = consequence4((syntax.parse("@x"),), syntax.parse("@~x"))
-    br_bwd = consequence4((syntax.parse("@~x"),), syntax.parse("@x"))
-    br_witness = br_fwd.witness_text() or br_bwd.witness_text()
-    rows.append(RuleCheck("BR", "@x -||- @~x", br_fwd.holds and br_bwd.holds, br_witness))
-
-    bf_and = consequence4((syntax.parse("@x"), syntax.parse("@y")), syntax.parse("@(x & y)"))
-    bf_or = consequence4((syntax.parse("@x"), syntax.parse("@y")), syntax.parse("@(x | y)"))
-    rows.append(
-        RuleCheck(
-            "BF",
-            "@x, @y |- @(x & y) and @(x | y)",
-            bf_and.holds and bf_or.holds,
-            bf_and.witness_text() or bf_or.witness_text(),
-        )
-    )
-
-    rows.append(_scheme("AwB", ("x", "@x"), "@(x | y)"))
-    rows.append(_scheme("NwB", ("~x", "@x"), "@(x & y)"))
-    rows.append(_scheme("NB", ("~@x", "@y"), "~@(x & y) | ~@(x | y)"))
-    rows.append(_scheme("TNB1", ("~@x", "~@y", "x & y"), "~@(x & y)"))
-    rows.append(_scheme("TNB2", ("~@x", "~@y", "~(x | y)"), "~@(x & y)"))
-    rows.append(_scheme("BC", ("@(x & y)", "x & y"), "@x & @y"))
-    rows.append(_scheme("OV", ("@x <-> @y", "x <-> ~y"), "@(x & y)"))
+    for rule, variants in proofs.RULE_SCHEMES.items():
+        formulas = [f for v in variants for f in (*v.premises, v.conclusion)]
+        if not all(map(syntax.is_modal_free, formulas)):
+            continue
+        results = [consequence4(v.premises, v.conclusion) for v in variants]
+        statement = " and ".join(str(proofs.judgment(v.premises, v.conclusion)) for v in variants)
+        witness = next((r.witness_text() for r in results if not r.holds), "")
+        rows.append(RuleCheck(rule, statement, all(r.holds for r in results), witness))
 
     cl_passed = True
     cl_witness = ""

@@ -32,6 +32,7 @@ writes out shares operands, so '<->' chains print exponentially long.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -151,6 +152,19 @@ def Iff(left: Formula, right: Formula) -> Formula:
 def Xor(left: Formula, right: Formula) -> Formula:
     """Exclusive disjunction, stored as (l & ~r) | (~l & r)."""
     return Or(And(left, Not(right)), And(Not(left), right))
+
+
+# The ASCII notation: the tokenizer, the parser, the printer and the parse
+# errors' hints all read their operators from these two tables.
+_UNARY_TOKENS = {"~": Not, "@": Ball, "[]": Box, "<>": Diamond, "[=]": BoxSame, "[-]": BoxDiff}
+# Binary operator token -> (precedence, right-associative, constructor).
+_BINARY_TOKENS = {
+    "<->": (0, True, Iff),
+    "->": (1, True, Imp),
+    "|": (2, False, Or),
+    "^": (3, False, Xor),
+    "&": (4, False, And),
+}
 
 
 def variables(*formulas: Formula) -> tuple[str, ...]:
@@ -289,7 +303,7 @@ def ball_substitution(f: Formula) -> Formula:
 # Printing
 # ---------------------------------------------------------------------------
 
-_UNARY_ASCII = {Not: "~", Ball: "@", Box: "[]", Diamond: "<>", BoxSame: "[=]", BoxDiff: "[-]"}
+_UNARY_ASCII = {kind: token for token, kind in _UNARY_TOKENS.items()}
 _UNARY_PRETTY = {Not: "¬", Ball: "∘", Box: "□", Diamond: "◇",
                  BoxSame: "■", BoxDiff: "⊟"}
 
@@ -355,71 +369,40 @@ class ParseError(ValueError):
         super().__init__(detail)
 
 
-_SIMPLE_TOKENS = ("&", "|", "^", "(", ")")
-_FORMULA_START = ("identifier", "T", "F", "(", "~", "@", "[]", "<>", "[=]", "[-]")
+_FORMULA_START = ("identifier", "T", "F", "(", *_UNARY_TOKENS)
+
+# One alternative per token, the longest first, so that a token that begins
+# with another is read whole; whitespace and identifiers as the grammar has them.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)|(?P<ident>[a-z][a-zA-Z0-9_]*)|(?P<op>"
+    + "|".join(map(re.escape, sorted([*_UNARY_TOKENS, *_BINARY_TOKENS, "(", ")", "T", "F"],
+                                     key=len, reverse=True)))
+    + ")"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
-    """Produce (kind, offset) pairs; identifiers carry their text as kind 'ident:<name>'."""
+    """Produce (kind, offset) pairs; identifiers carry their text as kind
+    'ident:<name>'.  The tokens are the matches of _TOKEN, each starting
+    where the last ended; the first character where none starts is an error."""
     tokens: list[tuple[str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c in _SIMPLE_TOKENS:
-            tokens.append((c, i))
-            i += 1
-        elif c == "~" or c == "@":
-            tokens.append((c, i))
-            i += 1
-        elif text.startswith("<->", i):
-            tokens.append(("<->", i))
-            i += 3
-        elif text.startswith("<>", i):
-            tokens.append(("<>", i))
-            i += 2
-        elif text.startswith("->", i):
-            tokens.append(("->", i))
-            i += 2
-        elif text.startswith("[]", i):
-            tokens.append(("[]", i))
-            i += 2
-        elif text.startswith("[=]", i):
-            tokens.append(("[=]", i))
-            i += 3
-        elif text.startswith("[-]", i):
-            tokens.append(("[-]", i))
-            i += 3
-        elif c == "T" or c == "F":
-            tokens.append((c, i))
-            i += 1
-        elif c.islower() and c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident:" + text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", i, _FORMULA_START)
-    tokens.append(("end", n))
+    end = 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != end:
+            break
+        end = m.end()
+        if m.lastgroup == "op":
+            tokens.append((m.group(), m.start()))
+        elif m.lastgroup == "ident":
+            tokens.append(("ident:" + m.group(), m.start()))
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", end, _FORMULA_START)
+    tokens.append(("end", end))
     return tokens
 
 
 MAX_NESTING = 100
 MAX_FORMAT_LENGTH = 1 << 20  # characters of one printed formula
-
-_UNARY_TOKENS = {"~": Not, "@": Ball, "[]": Box, "<>": Diamond, "[=]": BoxSame, "[-]": BoxDiff}
-# Binary operator token -> (precedence, right-associative, constructor).
-_BINARY_TOKENS = {
-    "<->": (0, True, Iff),
-    "->": (1, True, Imp),
-    "|": (2, False, Or),
-    "^": (3, False, Xor),
-    "&": (4, False, And),
-}
 
 
 class _Parser:

@@ -224,6 +224,16 @@ def test_enumerate_count_is_arithmetic(capsys, monkeypatch, worlds, digits):
         assert len(out) == digits + 1
 
 
+@pytest.mark.parametrize("worlds,count", [(1, 6), (2, 78), (3, 2456)])
+def test_enumerate_reduce_count_builds_no_frame(capsys, monkeypatch, worlds, count):
+    def enumerate_frames(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(frames, "enumerate_frames", enumerate_frames)
+    code, out, _ = run(capsys, "enumerate", "--worlds", str(worlds), "--reduce", "--count")
+    assert code == 0 and out == f"{count}\n"
+
+
 def test_indiscern(capsys):
     code, out, _ = run(capsys, "indiscern", "--corpus-depth", "1")
     assert code == 0

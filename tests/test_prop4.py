@@ -13,7 +13,7 @@ from mlml.prop4 import (
     tautology4,
     value4_name,
 )
-from mlml.syntax import parse, variables
+from mlml.syntax import Ball, Or, Var, parse, variables
 
 
 def test_eval4_spec_examples():
@@ -88,6 +88,38 @@ def test_rule_soundness_report():
     ]
     for row in rows:
         assert row.passed, f"{row.rule}: {row.witness}"
+
+
+def test_scheme_rows_check_the_checker_table(monkeypatch):
+    """Each scheme row checks exactly the variants of its tag in
+    proofs.RULE_SCHEMES, the modal-free tags in table order."""
+    import mlml.prop4 as prop4
+    from mlml.proofs import RULE_SCHEMES
+
+    checked = []
+
+    def recording(premises, goal):
+        checked.append((tuple(premises), goal))
+        return consequence4(premises, goal)
+
+    monkeypatch.setattr(prop4, "consequence4", recording)
+    rows = rule_soundness_report()
+    tags = [row.rule for row in rows[:-2]]
+    assert tags == ["DB", "BR", "BF", "AwB", "NwB", "NB", "TNB1", "TNB2", "BC", "OV"]
+    assert tags == [tag for tag in RULE_SCHEMES if tag not in ("KA", "BB", "FC", "EA")]
+    want = [(v.premises, v.conclusion) for tag in tags for v in RULE_SCHEMES[tag]]
+    assert checked[:len(want)] == want
+
+
+def test_an_unsound_scheme_in_the_checker_table_fails_its_row(monkeypatch):
+    from mlml.proofs import RULE_SCHEMES, Scheme
+
+    phi, psi = Var("phi"), Var("psi")
+    monkeypatch.setitem(RULE_SCHEMES, "AwB", (Scheme((phi,), Ball(Or(phi, psi))),))
+    rows = rule_soundness_report()
+    assert [row.rule for row in rows if not row.passed] == ["AwB"]
+    awb = next(row for row in rows if row.rule == "AwB")
+    assert awb.witness
 
 
 def test_corrupted_scheme_fails_with_witness():

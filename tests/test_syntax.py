@@ -52,10 +52,15 @@ def test_parse_five_ball_shape():
 
 
 def test_parse_error_carries_offset_and_expectations():
+    formula_start = ("identifier", "T", "F", "(", "~", "@", "[]", "<>", "[=]", "[-]")
     with pytest.raises(ParseError) as info:
         parse("p & (")
     assert info.value.position == 5
-    assert info.value.expected
+    assert info.value.expected == formula_start
+    with pytest.raises(ParseError) as info:
+        parse("?")
+    assert str(info.value).startswith("unexpected character '?' at offset 0")
+    assert info.value.expected == formula_start
 
 
 def test_parse_error_cases():
@@ -63,6 +68,18 @@ def test_parse_error_cases():
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.position == offset, text
+
+
+@pytest.mark.parametrize("text,offset", [("é", 0), ("p²", 1), ("pÉ", 1), ("a٣", 1)])
+def test_identifiers_are_ascii_as_the_grammar_says(text, offset, capsys):
+    """An identifier is /[a-z][a-zA-Z0-9_]*/: a non-ASCII letter or digit
+    neither starts one nor continues it."""
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.position == offset
+    assert str(info.value).startswith(f"unexpected character {text[offset]!r}")
+    assert main(["valid", "--frame", "fixture:euc3", "--formula", text]) == 2
+    assert "unexpected character" in capsys.readouterr().err
 
 
 def test_precedence_and_associativity():
