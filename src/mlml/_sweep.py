@@ -29,8 +29,9 @@ into straight-line code: one (op, a, b) instruction per distinct
 subformula, whose arguments are indices of earlier instructions (diamond
 compiles to not-box-not).  A sweep interns the instructions it runs by (op,
 ids of the argument results), all small ints, so a subformula shared by
-several formulas is computed once per sweep, and the repeat evaluation of
-the last program, as for the next ultrafilter, returns at once.  `apply`
+several formulas is computed once per sweep.  A caller that wants several
+ultrafilters evaluates the program once and reads them all off one meet of
+its world values (`valid_masks_of`).  `apply`
 runs one opcode on per-world value lists; `values` passes it the interned
 results, and the indiscernibility battery passes it the values of its
 semantic classes, so both run the same operators.  Callers that evaluate
@@ -352,7 +353,6 @@ class FrameSweep:
         # Interned results: (op, argument ids) -> id, and id -> per-world values.
         self._ids: dict[tuple[int, object, int], int] = {}
         self._results: list[list[int]] = []
-        self._last: tuple[object, list[int]] | None = None
         # Built by the first relations_meeting: each block's top bit, every
         # other bit, and 2**(B-1) - 1 in each B-bit block.
         self._block_tops: tuple[int, int, int] | None = None
@@ -432,9 +432,6 @@ class FrameSweep:
 
         f is a formula, compiled on entry, or a program from compile_formula.
         """
-        last = self._last
-        if last is not None and last[0] is f:
-            return last[1]
         program = f if isinstance(f, Program) else compile_formula(f)
         ids, results = self._ids, self._results
         at: list[int] = []
@@ -450,9 +447,7 @@ class FrameSweep:
                                           results[b] if op >= AND else None))
                 rid = ids[key] = len(results) - 1
             at.append(rid)
-        out = results[at[-1]]
-        self._last = (f, out)
-        return out
+        return results[at[-1]]
 
     # -- satisfaction masks ---------------------------------------------------
 

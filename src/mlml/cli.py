@@ -57,6 +57,8 @@ def _load_json(path: str) -> dict:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise CliError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_frame(spec: str) -> kripke.Frame:

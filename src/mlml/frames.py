@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections import deque
 from contextlib import nullcontext
@@ -344,58 +345,53 @@ def count_frames(n: int) -> int:
 
 # A part of a scan over weighted frames: a labelling, a relation chunk, and
 # its frame weights, each weight mapped to the units of the chunk that carry
-# it; a unit with no weight is padding.
+# it; a unit carries one weight or, as padding, none.
 _Part = tuple[tuple[str, ...], "range | tuple[int, ...]", dict[int, int]]
 
 
-def _every_relation(
-    n: int, width: int, labellings: Iterable[tuple[tuple[str, ...], int]], ramp: bool = True
-) -> Iterator[list[_Part]]:
-    """Every relation on n worlds in aligned ranges, a group per range with
-    every (labelling, weight) pair: 1, 1, 2, 4, ... relations wide up to
-    `width` with `ramp`, so that an early hit stays cheap, else `width` wide."""
-    labellings = list(labellings)
-    lo = 0
-    while lo < 1 << (n * n):
-        relations = range(lo, lo + (min(width, max(1, lo)) if ramp else width))
-        lo = relations.stop
-        every = (1 << len(relations)) - 1
-        yield [(labels, relations, {weight: every}) for labels, weight in labellings]
-
-
-def _every_frame(n: int, variables: int, ramp: bool) -> Iterator[list[_Part]]:
-    """Every labelling on n worlds with weight 1, in relation ranges as wide
-    as one sweep holds: the frame-by-frame pass of both batteries."""
-    labellings = ((labels, 1) for labels in product("ABC", repeat=n))
-    return _every_relation(n, relation_chunk_width(n, variables), labellings, ramp)
-
-
-def _orbit_frames(
-    n: int, variables: int, orbit_key: tuple[str, ...], ramp: bool = True
-) -> Iterator[list[_Part]]:
-    """The canonical relations of every orbit representative, the next 1,
-    1, 2, 4, ... of each per group with `ramp`, else as many as one sweep
-    holds, in tuples padded to a power of two with their last relation,
-    weighted by the labelling orbit's size times the relation orbit's."""
-    width, done = relation_chunk_width(n, variables), 0
-    canonical = [(labels, size, canonical_relations(n, labels, orbit_key))
-                 for labels, size in _labelling_orbits(n, orbit_key)]
+def _parts(width: int, sources: list[tuple], ramp: bool) -> Iterator[list[_Part]]:
+    """Groups of parts cut from (labelling, weight, relations) sources, a
+    part per source with relations left: the next 1, 1, 2, 4, ... relations
+    of each per group up to `width` with `ramp`, so that an early hit stays
+    cheap, else `width` at a time.  Relations are an aligned range, cut into
+    aligned ranges whose frames all carry the source's weight, or an
+    ascending iterator of (relation, weight) pairs, cut into tuples padded
+    to a power of two with their last relation, each frame weighted by the
+    source's weight times its own."""
+    done = 0
     while True:
         step = min(width, max(1, done)) if ramp else width
-        done += step
         group = []
-        for labels, size, relations in canonical:
+        for labels, weight, relations in sources:
+            if isinstance(relations, range):
+                chunk = relations[done:done + step]
+                if chunk:
+                    group.append((labels, chunk, {weight: (1 << len(chunk)) - 1}))
+                continue
             taken = list(islice(relations, step))
             if taken:
                 weights: dict[int, int] = {}
-                for k, (_, weight) in enumerate(taken):
-                    weights[size * weight] = weights.get(size * weight, 0) | 1 << k
+                for k, (_, own) in enumerate(taken):
+                    weights[weight * own] = weights.get(weight * own, 0) | 1 << k
                 padding = (1 << (len(taken) - 1).bit_length()) - len(taken)
                 chunk = tuple(r for r, _ in taken) + (taken[-1][0],) * padding
                 group.append((labels, chunk, weights))
         if not group:
             return
+        done += step
         yield group
+
+
+def _weighted(weights: dict[int, int], mask: int) -> int:
+    """The weighted count of a part's frames whose units are in the mask."""
+    return sum(weight * (units & mask).bit_count() for weight, units in weights.items())
+
+
+def _every_frame(n: int, variables: int, ramp: bool) -> Iterator[list[_Part]]:
+    """Every labelling on n worlds with weight 1, in relation ranges as wide
+    as one sweep holds: the frame-by-frame pass of both batteries."""
+    labellings = [(labels, 1, range(1 << (n * n))) for labels in product("ABC", repeat=n)]
+    return _parts(relation_chunk_width(n, variables), labellings, ramp)
 
 
 def _orbit_parts(
@@ -410,10 +406,12 @@ def _orbit_parts(
     orbit too.  Where one sweep holds them all, the ramp's sweep count is
     logarithmic in the relations swept, so canonical tuples would save a
     sweep or two and cost more to build."""
-    width = relation_chunk_width(n, variables)
-    if width == 1 << (n * n):
-        return _every_relation(n, width, _labelling_orbits(n, orbit_key), ramp)
-    return _orbit_frames(n, variables, orbit_key, ramp)
+    width, every = relation_chunk_width(n, variables), range(1 << (n * n))
+    return _parts(width, [
+        (labels, size, every if width == len(every)
+         else canonical_relations(n, labels, orbit_key))
+        for labels, size in _labelling_orbits(n, orbit_key)
+    ], ramp)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +556,9 @@ def _check_deadline(deadline: float | None) -> None:
 def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
     """Check one group of weighted parts of the frames on n worlds, each
     part's chunk no wider than one sweep holds: per part, one packed sweep,
+    one meet of the program's world values for every selected ultrafilter,
     validity and the property reduced to one bit per relation.  Returns the
-    weighted count of the group's frames, its weighted mismatch counts in
+    `_weighted` count of the group's frames, its weighted mismatch counts in
     the property-without-validity and the validity-without-property
     directions, and its rows: every mismatch with `every_row`, else the
     first of each direction and ultrafilter.  No Frame is built unless the
@@ -570,22 +569,18 @@ def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
     for labels, chunk, weights in group:
         _check_deadline(deadline)
         text = "".join(labels)
-        every = (1 << len(chunk)) - 1
-        carried = 0  # the units that carry a weight; the others are padding
-        for units in weights.values():
-            carried |= units
-        checked += sum(weight * units.bit_count() for weight, units in weights.items())
+        carried = sum(weights.values())  # the units with a weight; the others are padding
+        checked += _weighted(weights, carried)
         holds = prop.relation_mask(worlds, labels, chunk)
         sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
                            max_valuations=max_valuations)
-        for u in selected:
-            invalid = sweep.valid_mask(program, u) ^ sweep.ones_mask
-            mismatched = (every ^ sweep.relations_meeting(invalid) ^ holds) & carried
+        for u, valid in zip(selected, sweep.valid_masks_of(sweep.values(program), selected)):
+            invalid = valid ^ sweep.ones_mask
+            mismatched = ~(sweep.relations_meeting(invalid) ^ holds) & carried
             for direction, found in enumerate((mismatched & holds, mismatched & ~holds)):
                 if not found:
                     continue
-                counts[direction] += sum(weight * (found & units).bit_count()
-                                         for weight, units in weights.items())
+                counts[direction] += _weighted(weights, found)
                 if every_row:
                     at = set_bits(found)
                 elif (direction, u.generator) not in met:
@@ -661,26 +656,27 @@ def correspondence_check(
     direction and ultrafilter that the check met is re-checked.
 
     Each world count is checked by a pass over groups of weighted parts of
-    its frames, one `_check_group` job per group: the job sweeps each part,
-    a chunk of relations packed into one operand (see _sweep), and returns
-    the group's weighted frame count, its weighted mismatch counts per
-    direction and its rows; `frames_checked` and `totals` are their sums.
-    Renaming the worlds, and permuting the atoms with the ultrafilters
-    moving in step, maps a mismatch to a mismatch of the same direction for
-    every property in PROPERTIES.  For those, the pass is over the orbit
-    representatives, each frame weighted by the size of its orbit, as the
-    countermodel search scans them (see _orbit_parts), always run to its
-    end.  The weights are positive, so a weighted total of 0 means no
-    mismatch.  Where rows are kept and the world count has a mismatch, the
-    frame-by-frame pass of the search (see _every_frame) lists its rows, so
-    the witness of a property-without-validity mismatch is the canonically
-    first countermodel on its frame, as a per-frame sweep would find it.
-    Its frame and mismatch counts must equal the weighted ones, or the
-    check raises AssertionError.  Any other property gets the frame-by-frame
-    pass alone at every world count, in this process.  The jobs run in this
-    process when workers == 1 and across one process pool otherwise, at
-    most 2 * workers ahead of the one whose result is read, and honour the
-    frame and time budgets.
+    its frames (see _parts), one `_check_group` job per group: the job
+    sweeps each part, a chunk of relations packed into one operand (see
+    _sweep), and returns the group's weighted frame count, its weighted
+    mismatch counts per direction and its rows; `frames_checked` and
+    `totals` are their sums.  Renaming the worlds, and permuting the atoms
+    with the ultrafilters moving in step, maps a mismatch to a mismatch of
+    the same direction for every property in PROPERTIES.  For those, the
+    pass is over the orbit representatives, each frame weighted by the size
+    of its orbit, as the countermodel search scans them (see _orbit_parts),
+    always run to its end.  The weights are positive, so a weighted total of
+    0 means no mismatch.  Where rows are kept and the world count has a
+    mismatch, the frame-by-frame pass of the search (see _every_frame) lists
+    its rows, so the witness of a property-without-validity mismatch is the
+    canonically first countermodel on its frame, as a per-frame sweep would
+    find it.  Its frame and mismatch counts must equal the weighted ones, or
+    the check raises AssertionError.  Any other property gets the
+    frame-by-frame pass alone at every world count, in this process.  The
+    jobs run in this process when `workers`, capped at the CPU count, is 1,
+    else across one pool of that many processes, at most twice that many
+    ahead of the one whose result is read, and honour the frame and time
+    budgets.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -709,6 +705,7 @@ def correspondence_check(
     symmetric = prop in PROPERTIES.values()
     orbit_key = tuple(sorted({u.name for u in selected}))
     totals = [0, 0]  # weighted mismatches without validity, without the property
+    workers = min(workers, os.cpu_count() or 1)  # each process starts at the first submit
     pool_context = nullcontext()
     if workers > 1 and symmetric:
         from concurrent.futures import ProcessPoolExecutor
@@ -785,18 +782,19 @@ def correspondence_check(
 
 def _relation_blind_parts(
     n: int, orbit_key: tuple[str, ...], prop: FrameProperty | None
-) -> list[list[_Part]]:
+) -> Iterator[list[_Part]]:
     """For a judgment with no modality, whose value at a world depends on
     that world's valuation alone, so that a labelled frame has a
     countermodel iff every frame with its labelling does: the frames on n
     worlds passing the property (or all, for None), as one group of one part
     per orbit representative of `_labelling_orbits` with a passing
-    relation.  The part's chunk is the least passing relation, weighted by
-    the orbit's size times the number of passing relations; the property is
-    read off `relation_mask` over every relation, 2**16 at a time."""
+    relation.  Its `_parts` source is the range of the least passing
+    relation, weighted by the orbit's size times the number of passing
+    relations; the property is read off `relation_mask` over every relation,
+    2**16 at a time."""
     worlds, total = _world_names(n), 1 << (n * n)
     width = min(total, MAX_PACKED_GROUPS)
-    group = []
+    sources = []
     for labels, size in _labelling_orbits(n, orbit_key):
         least, count = 0, total
         if prop is not None:
@@ -807,8 +805,8 @@ def _relation_blind_parts(
                     least = lo + (mask & -mask).bit_length() - 1
                 count += mask.bit_count()
         if count:
-            group.append((labels, range(least, least + 1), {size * count: 1}))
-    return [group]
+            sources.append((labels, size * count, range(least, least + 1)))
+    return _parts(1, sources, ramp=False)
 
 
 def _countermodel_scan(
@@ -821,7 +819,8 @@ def _countermodel_scan(
     max_frames: int | None,
 ) -> Model | None:
     """kripke.countermodel_search: per world count, a `scan` over every
-    labelling and every relation, each frame of weight 1.  Renaming the
+    labelling and every relation, each frame of weight 1 (see _every_frame
+    and _parts, which ramp up the relations per group).  Renaming the
     worlds and permuting the atoms, with the relation, the carriers and the
     ultrafilters moving in step, maps a countermodel to a countermodel and
     keeps every property in PROPERTIES.  So with no filter or one of those,
@@ -857,9 +856,7 @@ def _countermodel_scan(
         for group in groups:
             passing = []
             for labels, relations, weights in group:
-                units = 0
-                for mask in weights.values():
-                    units |= mask
+                units = sum(weights.values())
                 if frame_filter is not None:
                     units &= frame_filter.relation_mask(worlds, labels, relations)
                 passing.append(units)
@@ -879,14 +876,12 @@ def _countermodel_scan(
                     if hits:
                         r = (hits & -hits).bit_length() - 1
                         hit, below = (r, i, u, bad, sweep), (1 << r) - 1
-            count += sum(weight * (units & mask & below).bit_count()
-                         for (_, _, weights), mask in zip(group, passing)
-                         for weight, units in weights.items())
+            count += sum(_weighted(weights, mask & below)
+                         for (_, _, weights), mask in zip(group, passing))
             if hit is not None:
                 r, i, u, bad, sweep = hit
-                count += sum(weight * ((units & mask) >> r & 1)
-                             for (_, _, weights), mask in zip(group[:i + 1], passing)
-                             for weight, units in weights.items())
+                count += sum(_weighted(weights, mask & 1 << r)
+                             for (_, _, weights), mask in zip(group[:i + 1], passing))
                 labels, relations, _ = group[i]
                 frame = _frame_from_bits(worlds, labels, relations[r])
                 return Model(frame, sweep.decode_valuation(sweep.lowest_index(bad, r)), u), count
@@ -1115,13 +1110,13 @@ def _formula_disagreements(
     sweeps: Sequence[FrameSweep], corpus_depth: int, selected: tuple[Ultrafilter, ...]
 ) -> list[tuple[str, str, bool, bool]]:
     """_disagreements by checking every corpus formula on both sweeps."""
-    sweep_a, sweep_b = sweeps
     rows = []
     for f in syntax.generate_corpus(["p"], corpus_depth):
         program = compile_formula(f)
-        for u in selected:
-            valid_a = sweep_a.is_frame_valid(program, u)
-            valid_b = sweep_b.is_frame_valid(program, u)
-            if valid_a != valid_b:
-                rows.append((syntax.format_formula(f), u.name, valid_a, valid_b))
+        valid_a, valid_b = (
+            [mask == sweep.ones_mask
+             for mask in sweep.valid_masks_of(sweep.values(program), selected)]
+            for sweep in sweeps)
+        rows.extend((syntax.format_formula(f), u.name, a, b)
+                    for u, a, b in zip(selected, valid_a, valid_b) if a != b)
     return rows

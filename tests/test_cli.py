@@ -376,6 +376,21 @@ def test_proof_params_must_be_an_object(capsys, tmp_path):
     assert err.startswith("error: ") and "step 0: params must be an object" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--model", "{path}", "--world", "w", "--formula", "p"),
+    ("valid", "--frame", "{path}", "--formula", "p"),
+    ("checkproof", "--proof", "{path}"),
+])
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, argv):
+    """A nesting deeper than the decoder recurses is a bad document, exit
+    2, not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 def _cli(*argv, env=None, timeout=60):
     """Run the command line in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")

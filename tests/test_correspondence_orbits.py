@@ -6,8 +6,9 @@ weighted counts are compared with the rows of the frame-by-frame check,
 which a property outside the table always gets, and a spy on the sweeps
 shows that a clean criterion sweeps the representatives only and that the
 frame-by-frame pass sweeps each labelling in ranges as wide as one sweep
-holds, with one worker or two.  No part is wider than one sweep, and the
-pool is read through a window of 2 * workers jobs.  The per-block
+holds, with one worker or two.  No part is wider than one sweep, the pool
+has a process per worker up to the CPU count, and it is read through a
+window of 2 * workers jobs.  The per-block
 readers `FrameSweep.relations_meeting` and `lowest_indices` are compared
 with a per-block reference and with `lowest_index` on aligned ranges and
 tuples, for blocks narrower and wider than a byte.
@@ -16,6 +17,7 @@ tuples, for blocks narrower and wider than a byte.
 import concurrent.futures
 import functools
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,11 +195,11 @@ def test_no_part_is_wider_than_one_sweep(monkeypatch):
     assert all(len(relations) <= relation_chunk_width(n, 2) for n, relations in parts)
 
 
-def test_the_pool_is_read_through_a_window(monkeypatch):
-    """A pool that runs each job as it is submitted, and records at each
-    read how many jobs were submitted after the one read: never more than
-    2 * workers, and the report is that of one worker."""
-    submitted, ahead = [], []
+def _inline_pool(monkeypatch, cpus):
+    """A pool that runs each job as it is submitted, on a host with `cpus`
+    CPUs: the sizes it was made with, the jobs submitted, and per read how
+    many jobs were submitted after the one read."""
+    submitted, ahead, sizes = [], [], []
 
     class Read(concurrent.futures.Future):
         def result(self, timeout=None):
@@ -206,7 +208,7 @@ def test_the_pool_is_read_through_a_window(monkeypatch):
 
     class Inline(concurrent.futures.Executor):
         def __init__(self, max_workers):
-            pass
+            sizes.append(max_workers)
 
         def submit(self, fn, *args):
             future = Read()
@@ -216,13 +218,38 @@ def test_the_pool_is_read_through_a_window(monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return sizes, submitted, ahead
+
+
+def test_the_pool_is_read_through_a_window(monkeypatch):
+    """Never more than 2 * workers jobs submitted ahead of the one read,
+    and the report is that of one worker."""
+    sizes, submitted, ahead = _inline_pool(monkeypatch, 2)
     one = correspondence_check(*TWO_VARIABLES, 3)
     assert not submitted
     two = correspondence_check(*TWO_VARIABLES, 3, workers=2)
+    assert sizes == [2]
     assert len(ahead) == len(submitted) > 2 * 2
     assert max(ahead) == 2 * 2
     assert (two.rows, two.totals, two.frames_checked) == (one.rows, one.totals,
                                                           one.frames_checked)
+
+
+@pytest.mark.parametrize("workers, cpus, size", [
+    (3, 2, 2), (2, 4, 2), (2, 1, None), (3, None, None)])
+def test_the_pool_has_a_process_per_cpu_at_most(monkeypatch, workers, cpus, size):
+    """The pool and its window are sized by the worker count up to the CPU
+    count, 1 where the count is unknown, and with one the jobs run in
+    process."""
+    sizes, submitted, ahead = _inline_pool(monkeypatch, cpus)
+    report = correspondence_check(*TWO_VARIABLES, 3, workers=workers)
+    if size is None:
+        assert not sizes and not submitted
+    else:
+        assert sizes == [size] and len(ahead) == len(submitted)
+        assert max(ahead) == 2 * size
+    assert report.totals == correspondence_check(*TWO_VARIABLES, 3, keep_rows=False).totals
 
 
 def test_rows_are_checked_against_the_weighted_counts(monkeypatch):

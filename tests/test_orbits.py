@@ -18,7 +18,8 @@ from mlml import frames
 from mlml._orbits import _labelling_orbits, canonical_relations, least_frames, stabiliser
 from mlml.algebra import ULTRAFILTERS
 from mlml.cli import main
-from mlml.frames import PROPERTIES, enumerate_frames
+from mlml._sweep import relation_chunk_width
+from mlml.frames import PROPERTIES, count_frames, enumerate_frames
 from mlml.kripke import countermodel_search
 from mlml.syntax import parse
 
@@ -92,6 +93,68 @@ def test_weighted_canonical_relations_count_every_frame_with_a_property(n, names
         every = range(1 << (n * n))
         assert weighted == sum(prop.relation_mask(worlds, labels, every).bit_count()
                                for labels in product("ABC", repeat=n))
+
+
+def _weighted_total(groups, n, width, ramp):
+    """The weighted frame count of a pass, after checking the shape of its
+    groups: group k takes from each labelling the next step of 1, 1, 2, 4,
+    ... relations up to `width` with `ramp`, else `width`, as an aligned
+    range or a sorted tuple padded to a power of two with its last relation,
+    and each labelling's relations come once each, ascending."""
+    total, done, seen = 0, 0, {}
+    for group in groups:
+        step = min(width, max(1, done)) if ramp else width
+        done += step
+        for labels, chunk, weights in group:
+            count = len(chunk)
+            assert count <= width and count & (count - 1) == 0
+            carried = 0
+            for weight, units in weights.items():
+                assert weight > 0 and units and not carried & units
+                carried |= units
+                total += weight * units.bit_count()
+            taken = carried.bit_length()
+            assert carried == (1 << taken) - 1  # padding, if any, comes last
+            if isinstance(chunk, range):
+                assert chunk.step == 1 and chunk.start % count == 0 and taken == count
+                assert count == step
+            else:
+                assert list(chunk) == sorted(chunk) and len(set(chunk)) == taken <= step
+                assert count == 1 << (taken - 1).bit_length()
+                assert chunk[taken:] == chunk[taken - 1:taken] * (count - taken)
+            swept = seen.setdefault(labels, [])
+            swept += chunk[:taken]
+    for swept in seen.values():
+        assert swept == sorted(set(swept))
+    return total
+
+
+@pytest.mark.parametrize("names", SELECTIONS)
+def test_every_pass_is_cut_into_ramped_aligned_parts(names):
+    """The frame-by-frame and orbit passes weigh every frame, the
+    relation-blind pass every frame passing the property, with one or two
+    variables and with or without the ramp, on up to three worlds, and the
+    orbit pass's padded tuples on four."""
+    for n in (1, 2, 3):
+        for variables, ramp in product((1, 2), (False, True)):
+            width = relation_chunk_width(n, variables)
+            for groups in (frames._every_frame(n, variables, ramp),
+                           frames._orbit_parts(n, variables, names, ramp)):
+                assert _weighted_total(groups, n, width, ramp) == count_frames(n)
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        for prop in [None, *PROPERTIES.values()]:
+            passing = count_frames(n) if prop is None else sum(
+                prop.relation_mask(worlds, labels, range(1 << (n * n))).bit_count()
+                for labels in product("ABC", repeat=n))
+            groups = list(frames._relation_blind_parts(n, names, prop))
+            assert len(groups) == 1
+            assert _weighted_total(groups, n, 1, False) == passing
+    # Canonical tuples need padding from four worlds on.
+    for ramp in (False, True):
+        groups = list(frames._orbit_parts(4, 1, names, ramp))
+        assert _weighted_total(groups, 4, relation_chunk_width(4, 1), ramp) == count_frames(4)
+        assert any(len(chunk) > sum(weights.values()).bit_length()
+                   for group in groups for _, chunk, weights in group)
 
 
 def test_a_search_without_a_countermodel_sweeps_only_canonical_relations(monkeypatch):
