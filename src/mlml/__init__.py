@@ -28,7 +28,6 @@ from .algebra import (
     is_designated,
     join,
     meet,
-    up_interp,
     z_of,
 )
 from .syntax import (

@@ -39,7 +39,7 @@ from itertools import permutations, product
 from typing import Iterator, Sequence
 
 from ._sweep import edge_masks, set_bits
-from .algebra import ULTRAFILTERS
+from .algebra import LATTICE_LABELS, ULTRAFILTERS
 
 # Relations per comparator chunk: wide enough to share the per-permutation
 # work, narrow enough that the masks stay small at five worlds and beyond.
@@ -48,10 +48,10 @@ _CHUNK = 1 << 12
 
 def _atom_renamings(ultrafilter_names: tuple[str, ...]) -> list[dict[str, str]]:
     """The renamings of A, B, C whose atoms map the named ultrafilters to
-    each other.  Atom i goes with carrier "ABC"[i] and ultrafilter
+    each other.  Atom i goes with carrier LATTICE_LABELS[i] and ultrafilter
     ULTRAFILTERS[i]."""
     chosen = {i for i, u in enumerate(ULTRAFILTERS) if u.name in ultrafilter_names}
-    return [dict(zip("ABC", ("ABC"[i] for i in perm)))
+    return [dict(zip(LATTICE_LABELS, (LATTICE_LABELS[i] for i in perm)))
             for perm in permutations(range(3)) if {perm[i] for i in chosen} == chosen]
 
 
@@ -64,7 +64,7 @@ def _labelling_orbits(
     least labelling of each orbit and the orbit's size, in labelling order."""
     renamings = _atom_renamings(ultrafilter_names)
     sizes: dict[tuple[str, ...], int] = {}
-    for labels in product("ABC", repeat=n):
+    for labels in product(LATTICE_LABELS, repeat=n):
         # Sorting renames the worlds to the least arrangement.
         least = min(tuple(sorted(r[x] for x in labels)) for r in renamings)
         sizes[least] = sizes.get(least, 0) + 1
@@ -153,7 +153,7 @@ def least_frames(n: int) -> Iterator[tuple[int, tuple[str, ...]]]:
     simultaneous world permutations, by bitmask and then labels: the frames
     whose (bitmask, labels) is at most its image under every permutation."""
     perms = list(permutations(range(n)))
-    labellings = list(product("ABC", repeat=n))
+    labellings = list(product(LATTICE_LABELS, repeat=n))
 
     def moved(labels: tuple[str, ...], s: tuple[int, ...]) -> tuple[str, ...]:
         image = [""] * n

@@ -14,8 +14,8 @@ fixed labels:
     A = {0, e1, e23, 1}     B = {0, e2, e13, 1}     C = {0, e3, e12, 1}
 
 Down-interpretation maps an arbitrary element into a carrier by joining all
-carrier elements below it; up-interpretation is the order dual.  Designated
-values are given by a principal ultrafilter, i.e. the up-set of one atom.
+carrier elements below it.  Designated values are given by a principal
+ultrafilter, i.e. the up-set of one atom.
 """
 
 from __future__ import annotations
@@ -140,22 +140,6 @@ def down_interp(x: Element8, label: str) -> Element8:
     return value
 
 
-def up_interp(x: Element8, label: str) -> Element8:
-    """Smallest carrier element lying above x (order dual of down_interp).
-
-    The dual fallback returns the greatest carrier element; unreachable since
-    1 belongs to every carrier.
-    """
-    elems = carrier(label)
-    above = [y for y in elems if leq(x, y)]
-    if not above:
-        return max(elems)
-    value = TOP
-    for y in above:
-        value = meet(value, y)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Ultrafilters and designation
 # ---------------------------------------------------------------------------
@@ -180,9 +164,6 @@ class Ultrafilter:
     @property
     def name(self) -> str:
         return element_name(self.generator)
-
-    def elements(self) -> tuple[Element8, ...]:
-        return tuple(x for x in ELEMENTS if leq(self.generator, x))
 
     @classmethod
     def from_name(cls, name: str) -> "Ultrafilter":

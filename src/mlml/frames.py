@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import kripke, syntax
 from ._orbits import _labelling_orbits, canonical_relations, least_frames
-from .algebra import ULTRAFILTERS, Ultrafilter
+from .algebra import LATTICE_LABELS, ULTRAFILTERS, Ultrafilter
 from ._sweep import (
     AND,
     BALL,
@@ -154,7 +154,7 @@ def _super_out_of_bubble(n: int, labels: tuple[str, ...]) -> Iterator[Clause]:
         for u in range(n):
             if labels[u] == labels[w]:
                 continue
-            third = ({"A", "B", "C"} - {labels[w], labels[u]}).pop()
+            third = (set(LATTICE_LABELS) - {labels[w], labels[u]}).pop()
             yield (w, u), _edge(n, w, u), sum(
                 _edge(n, w, v) for v in range(n) if labels[v] == third
             )
@@ -329,7 +329,7 @@ def enumerate_frames(n: int, reduce_isomorphism: bool = False) -> Iterator[Frame
         return
     for bits in range(1 << (n * n)):
         relation = _relation_from_bits(worlds, bits)
-        for labels in product("ABC", repeat=n):
+        for labels in product(LATTICE_LABELS, repeat=n):
             yield Frame(worlds, relation, dict(zip(worlds, labels)))
 
 
@@ -390,7 +390,7 @@ def _weighted(weights: dict[int, int], mask: int) -> int:
 def _every_frame(n: int, variables: int, ramp: bool) -> Iterator[list[_Part]]:
     """Every labelling on n worlds with weight 1, in relation ranges as wide
     as one sweep holds: the frame-by-frame pass of both batteries."""
-    labellings = [(labels, 1, range(1 << (n * n))) for labels in product("ABC", repeat=n)]
+    labellings = [(labels, 1, range(1 << (n * n))) for labels in product(LATTICE_LABELS, repeat=n)]
     return _parts(relation_chunk_width(n, variables), labellings, ramp)
 
 
@@ -487,9 +487,6 @@ class _Mismatches(Sequence):
 
 @dataclass
 class CorrespondenceReport:
-    property_name: str
-    formula: str
-    max_worlds: int
     ultrafilters: tuple[str, ...]
     frames_checked: int
     variables: tuple[str, ...] = ()
@@ -693,9 +690,6 @@ def correspondence_check(
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     report = CorrespondenceReport(
-        property_name=prop.name,
-        formula=syntax.format_formula(formula),
-        max_worlds=max_worlds,
         ultrafilters=tuple(u.name for u in selected),
         frames_checked=0,
         variables=syntax.variables(formula),
@@ -915,16 +909,16 @@ def _countermodel_scan(
 # ---------------------------------------------------------------------------
 
 
-def euclidean_triangle(labels: tuple[str, str, str] = ("B", "B", "A")) -> Frame:
+def euclidean_triangle() -> Frame:
     """Three worlds with the total relation (self-loops included).
 
-    The default labels put the two observer worlds in a lattice whose
-    designated middle element is a coatom under the default ultrafilter,
-    which is what makes the diamond-box countermodel go through.
+    The labels put the two observer worlds in a lattice whose designated
+    middle element is a coatom under the default ultrafilter, which is what
+    makes the diamond-box countermodel go through.
     """
     worlds = ("w", "u", "v")
     relation = frozenset((a, b) for a in worlds for b in worlds)
-    return Frame(worlds, relation, dict(zip(worlds, labels)))
+    return Frame(worlds, relation, dict(zip(worlds, ("B", "B", "A"))))
 
 
 def _clique(worlds: Iterable[str]) -> set[tuple[str, str]]:
@@ -967,7 +961,6 @@ def fixtures() -> dict[str, Frame]:
 
 @dataclass
 class IndiscernibilityReport:
-    corpus_depth: int
     formulas_checked: int
     ultrafilters: tuple[str, ...]
     disagreements: list[tuple[str, str, bool, bool]] = field(default_factory=list)
@@ -999,7 +992,6 @@ def indiscernibility_check(
     disagreements = _disagreements(named["soob_F"], named["soob_Fprime"], corpus_depth,
                                    selected, max_valuations)
     return IndiscernibilityReport(
-        corpus_depth=corpus_depth,
         formulas_checked=syntax.corpus_size(1, corpus_depth),
         ultrafilters=tuple(u.name for u in selected),
         disagreements=disagreements,

@@ -145,9 +145,6 @@ class Model:
                 f"no value for variable {var!r} at world {world!r}"
             ) from None
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(sorted({var for _, var in self.valuation}))
-
 
 # ---------------------------------------------------------------------------
 # Evaluation

@@ -63,7 +63,6 @@ __all__ = [
     "check",
     "CrosscheckReport",
     "semantic_crosscheck",
-    "derivation_to_dict",
     "derivation_from_dict",
     "load_bundled_corpus",
     "RULE_TAGS",
@@ -424,8 +423,6 @@ def check(derivation: Derivation) -> CheckResult:
 
 @dataclass
 class CrosscheckReport:
-    judgment: Judgment
-    max_worlds: int
     countermodel: kripke.Model | None
 
     @property
@@ -456,33 +453,12 @@ def semantic_crosscheck(
         max_valuations=max_valuations,
         max_frames=max_frames,
     )
-    return CrosscheckReport(goal, max_worlds, counter)
+    return CrosscheckReport(counter)
 
 
 # ---------------------------------------------------------------------------
 # File format and bundled corpus
 # ---------------------------------------------------------------------------
-
-
-def derivation_to_dict(derivation: Derivation) -> dict:
-    steps = []
-    for step in derivation.steps:
-        doc: dict = {
-            "premises": sorted(
-                syntax.format_formula(p) for p in step.judgment.premises
-            ),
-            "conclusion": syntax.format_formula(step.judgment.conclusion),
-            "rule": step.rule,
-            "cites": list(step.cites),
-        }
-        if step.split is not None:
-            doc["params"] = {
-                "lambda": sorted(syntax.format_formula(p) for p in step.split.lambda_part),
-                "gamma": sorted(syntax.format_formula(p) for p in step.split.gamma_part),
-                "phi": syntax.format_formula(step.split.phi),
-            }
-        steps.append(doc)
-    return {"steps": steps}
 
 
 def _formula_set(parse, owner: Mapping, key: str, number: int) -> frozenset[Formula]:

@@ -29,7 +29,6 @@ from .syntax import Formula
 
 __all__ = [
     "FOUR_VALUES",
-    "DESIGNATED4",
     "ModalOperatorError",
     "value4_name",
     "eval4",
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 FOUR_VALUES = algebra.carrier("A")  # (0, a, -a, 1) by encoding
-DESIGNATED4 = (E1, TOP)
 
 _VALUE_NAMES = {TOP: "1", BOT: "0", E1: "a", E23: "-a"}
 
@@ -60,9 +58,12 @@ class ModalOperatorError(ValueError):
 
     def __init__(self, offending: Formula):
         self.offending = offending
-        super().__init__(
-            f"modal operator in propositional evaluation: {syntax.format_formula(offending)}"
-        )
+        try:
+            text = syntax.format_formula(offending)
+        except syntax.ResourceBudgetExceeded:
+            text = (f"{syntax._UNARY_ASCII[type(offending)]} over a formula longer than "
+                    f"{syntax.MAX_FORMAT_LENGTH} characters")
+        super().__init__(f"modal operator in propositional evaluation: {text}")
 
 
 def _require_propositional(f: Formula) -> None:

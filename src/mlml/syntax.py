@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class _Node:
@@ -304,8 +304,6 @@ def ball_substitution(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 
 _UNARY_ASCII = {kind: token for token, kind in _UNARY_TOKENS.items()}
-_UNARY_PRETTY = {Not: "¬", Ball: "∘", Box: "□", Diamond: "◇",
-                 BoxSame: "■", BoxDiff: "⊟"}
 
 # Precedence used by the printer: atoms bind tightest, then the unary
 # operators, then & over |.  Normalized trees contain no other binaries.
@@ -318,30 +316,25 @@ class ResourceBudgetExceeded(RuntimeError):
     """Raised when printing, a sweep or a search would exceed its budget."""
 
 
-def format_formula(f: Formula, pretty: bool = False) -> str:
-    """Render with minimal parentheses; the ASCII form re-parses to f.
+def format_formula(f: Formula) -> str:
+    """Render with minimal parentheses; the text re-parses to f.
     Raises ResourceBudgetExceeded past MAX_FORMAT_LENGTH characters."""
-    unary_ops = _UNARY_PRETTY if pretty else _UNARY_ASCII
-    and_op = " ∧ " if pretty else " & "
-    or_op = " ∨ " if pretty else " | "
-    top = "⊤" if pretty else "T"
-    bot = "⊥" if pretty else "F"
 
     def render(g: Formula, context: int) -> str:
         if isinstance(g, Var):
             return g.name
         if isinstance(g, Top):
-            return top
+            return "T"
         if isinstance(g, Bot):
-            return bot
+            return "F"
         if isinstance(g, _UNARY_TYPES):
-            text = unary_ops[type(g)] + render(g.sub, _PREC_UNARY)
+            text = _UNARY_ASCII[type(g)] + render(g.sub, _PREC_UNARY)
             prec = _PREC_UNARY
         elif isinstance(g, And):
-            text = render(g.left, _PREC_AND) + and_op + render(g.right, _PREC_AND + 1)
+            text = render(g.left, _PREC_AND) + " & " + render(g.right, _PREC_AND + 1)
             prec = _PREC_AND
         else:
-            text = render(g.left, _PREC_OR) + or_op + render(g.right, _PREC_OR + 1)
+            text = render(g.left, _PREC_OR) + " | " + render(g.right, _PREC_OR + 1)
             prec = _PREC_OR
         if len(text) > MAX_FORMAT_LENGTH:
             raise ResourceBudgetExceeded(
@@ -555,14 +548,3 @@ def corpus_size(var_count: int, max_connectives: int) -> int:
             total += counts[left_size] * counts[size - 1 - left_size]
         counts.append(total)
     return sum(counts)
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Each distinct subformula once, the formula itself included, children
-    first: the first occurrence of each in a left-to-right walk of the
-    tree, found visiting each distinct node once."""
-    seen: set[Formula] = set()
-    for g in _post_order(f):
-        if g not in seen:
-            seen.add(g)
-            yield g

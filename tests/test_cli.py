@@ -7,13 +7,13 @@ import os
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from mlml import frames
 from mlml.cli import main
-from mlml.proofs import derivation_to_dict, load_bundled_corpus
 
 
 @pytest.fixture
@@ -34,6 +34,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _bundled_document(name):
+    """The entry of the bundled derivation file for one derivation."""
+    text = resources.files("mlml").joinpath("corpus/derivations.json").read_text("utf-8")
+    return next(doc for doc in json.loads(text)["derivations"] if doc["name"] == name)
 
 
 def test_eval_box_not_designated(capsys, non_normality_model_file):
@@ -117,6 +123,13 @@ def test_taut4_cons4_reject_modal_input(capsys):
     code, out, err = run(capsys, "cons4", "--premises", "F", "--goal", "[]p")
     assert code == 2 and out == ""
     assert "modal operator" in err
+    # `<->` writes its operands out twice, so the text of 22 copies is past
+    # MAX_FORMAT_LENGTH; the message names the operator alone.
+    chain = "[](" + " <-> ".join(["p"] * 22) + ")"
+    message = ("error: modal operator in propositional evaluation: "
+               "[] over a formula longer than 1048576 characters\n")
+    assert run(capsys, "taut4", "--formula", chain) == (2, "", message)
+    assert run(capsys, "cons4", "--premises", "p", "--goal", chain) == (2, "", message)
 
 
 def test_cons4_over_eleven_variables_hits_the_valuation_cap(capsys):
@@ -154,6 +167,11 @@ def test_correspond_summary_and_exit(capsys):
                        "--all-ultrafilters")
     assert code == 0
     assert out.strip() == "6+144 frames x 3 ultrafilters, 0 mismatches"
+    # The battery prints no formula, so a text past MAX_FORMAT_LENGTH is no cap.
+    chain = " <-> ".join(["[]p"] * 22)
+    code, out, err = run(capsys, "correspond", "--property", "reflexive",
+                         "--formula", chain, "--max-worlds", "2")
+    assert (code, out, err) == (1, "6+144 frames x 1 ultrafilters, 111 mismatches\n", "")
 
 
 def test_correspond_csv_mismatches(capsys):
@@ -251,8 +269,7 @@ def test_out_of_range_sizes_are_usage_errors(capsys):
 
 
 def test_checkproof_accept_and_reject(capsys, tmp_path):
-    corpus = dict(load_bundled_corpus())
-    doc = derivation_to_dict(corpus["necessitation"])
+    doc = _bundled_document("necessitation")
     path = tmp_path / "proof.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "checkproof", "--proof", str(path), "--crosscheck")
@@ -463,7 +480,7 @@ def test_valid_under_every_ultrafilter_sweeps_the_frame_once(capsys, monkeypatch
 
 
 def test_crosscheck_past_the_frame_cap_exits_3(capsys, tmp_path):
-    doc = derivation_to_dict(dict(load_bundled_corpus())["affirming_with_ball"])
+    doc = _bundled_document("affirming_with_ball")
     path = _document(tmp_path, doc)
     start = time.perf_counter()
     code, out, err = run(capsys, "checkproof", "--proof", path, "--crosscheck",

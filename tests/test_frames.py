@@ -8,7 +8,6 @@ from mlml.frames import (
     correspondence_check,
     count_frames,
     enumerate_frames,
-    euclidean_triangle,
     fixtures,
     frame_encoding,
     indiscernibility_check,
@@ -215,12 +214,6 @@ def test_fixtures():
         assert all((w, w) not in frame.relation for w in frame.worlds)
     # cliques are bidirectional between distinct members
     assert ("w1", "w1p") in soob_f.relation and ("w1p", "w1") in soob_f.relation
-
-
-def test_euclidean_triangle_labels_parameter():
-    frame = euclidean_triangle(("A", "B", "C"))
-    assert is_euclidean(frame)
-    assert frame.lattice_of["w"] == "A"
 
 
 def test_indiscernibility_small_depth():

@@ -14,8 +14,6 @@ from mlml.proofs import (
     Judgment,
     check,
     check_step,
-    derivation_from_dict,
-    derivation_to_dict,
     judgment,
     load_bundled_corpus,
     semantic_crosscheck,
@@ -235,14 +233,6 @@ def test_unknown_rule_and_empty_derivation():
     assert "unknown rule" in result.violation
 
 
-def test_round_trip_serialization():
-    for name, derivation in load_bundled_corpus():
-        doc = derivation_to_dict(derivation)
-        restored = derivation_from_dict(doc)
-        assert restored.steps == derivation.steps, name
-        assert derivation_to_dict(restored) == doc, name
-
-
 def test_semantic_crosscheck_clean_corpus():
     for name, derivation in load_bundled_corpus():
         report = semantic_crosscheck(derivation, 2)
@@ -270,12 +260,12 @@ def test_tautological_consequence_matches_classical_brute_force():
     from itertools import product
 
     from mlml.kripke import Frame, classical_reference_eval
-    from mlml.syntax import Ball, generate_corpus, is_modal_free, subformulas
+    from mlml.syntax import Ball, _post_order, generate_corpus, is_modal_free
 
     frame = Frame(("w",), frozenset(), {"w": "A"})
     pool = [
         f for f in generate_corpus(["p", "q"], 3)
-        if is_modal_free(f) and not any(isinstance(g, Ball) for g in subformulas(f))
+        if is_modal_free(f) and not any(isinstance(g, Ball) for g in _post_order(f))
     ]
     rng = random.Random(20260218)
     for _ in range(400):

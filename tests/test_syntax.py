@@ -102,12 +102,6 @@ def test_print_examples():
     assert format_formula(Not(And(P, Q))) == "~(p & q)"
 
 
-def test_pretty_mode():
-    text = format_formula(parse("[](@p & ~q) -> <>p"), pretty=True)
-    assert "□" in text and "∘" in text
-    assert "[" not in text
-
-
 _leaves = st.sampled_from([Var("p"), Var("q"), Var("r_1"), Top(), Bot()])
 
 
@@ -189,10 +183,10 @@ def test_generate_corpus_ordered_and_duplicate_free():
 
 def test_generate_corpus_closed_under_subformulas():
     corpus = set(generate_corpus(["p"], 3))
-    from mlml.syntax import subformulas
+    from mlml.syntax import _post_order
 
     for f in corpus:
-        for g in subformulas(f):
+        for g in _post_order(f):
             assert g in corpus
 
 
@@ -339,7 +333,7 @@ def _iff_chains(operators):
 
 def test_syntax_walks_match_the_tree_walk_on_shared_chains():
     from mlml._sweep import compile_formula
-    from mlml.syntax import is_modal_free, subformulas
+    from mlml.syntax import _post_order, is_modal_free
 
     for operators in range(13):
         for f in _iff_chains(operators):
@@ -352,14 +346,14 @@ def test_syntax_walks_match_the_tree_walk_on_shared_chains():
             for g in _tree_subformulas(f):
                 if g not in firsts:
                     firsts.append(g)
-            assert list(subformulas(f)) == firsts
+            assert list(dict.fromkeys(_post_order(f))) == firsts
 
 
 def test_syntax_walks_visit_each_shared_node_once():
     import time
 
     from mlml._sweep import compile_formula
-    from mlml.syntax import _post_order, fold_constants, is_modal_free, subformulas
+    from mlml.syntax import _post_order, fold_constants, is_modal_free
 
     def node_count(f):
         return len(list(_post_order(f)))
@@ -374,7 +368,7 @@ def test_syntax_walks_visit_each_shared_node_once():
         connective_count(f)
         is_modal_free(f)
         assert fold_constants(f) is f
-        found = list(subformulas(f))
+        found = list(dict.fromkeys(_post_order(f)))
         assert len(found) == len(set(found))
         assert variables(f) == tuple(sorted({g.name for g in found if isinstance(g, Var)}))
         assert len(compile_formula(f).code) == len(found)
