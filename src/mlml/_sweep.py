@@ -62,6 +62,7 @@ checks the two agree on random formulas and frames.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
@@ -557,17 +558,18 @@ class FrameSweep:
         chunk.  Converting the mask to bytes costs about as much as ten
         shifts of it, so from 16 relations on, each whole-byte block is read
         off one little-endian byte string of the mask instead of a shift of
-        the whole mask per relation."""
+        the whole mask per relation: an 8-byte block as one word of it where
+        words are little-endian, any other block as a slice."""
         block = self.valuation_count
         if len(relations) < 16 or block % 8:
             return [self.lowest_index(mask, r) for r in relations]
         size = block // 8
-        data = mask.to_bytes(size * len(self.relations), "little")
-        found = []
-        for r in relations:
-            bits = int.from_bytes(data[size * r:size * (r + 1)], "little")
-            found.append((bits & -bits).bit_length() - 1 if bits else None)
-        return found
+        data = memoryview(mask.to_bytes(size * len(self.relations), "little"))
+        if size == 8 and sys.byteorder == "little":
+            blocks = map(data.cast("Q").__getitem__, relations)
+        else:
+            blocks = (int.from_bytes(data[size * r:size * (r + 1)], "little") for r in relations)
+        return [(bits & -bits).bit_length() - 1 if bits else None for bits in blocks]
 
     def decode_valuation(self, index: int) -> dict[tuple[str, str], int]:
         """The valuation at the given index, as a (world, variable) map."""

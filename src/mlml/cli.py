@@ -190,8 +190,8 @@ def _cmd_correspond(args) -> int:
     )
     if args.csv:
         print("frame_encoding,property_holds,formula_valid,witness")
-        for line in report.csv_rows():
-            print(line)
+        # Line by line: the whole report as one string would double its memory.
+        sys.stdout.writelines(report.csv_rows())
     counts = "+".join(str(frames.count_frames(n)) for n in range(1, args.max_worlds + 1))
     print(
         f"{counts} frames x {len(selected)} ultrafilters, "

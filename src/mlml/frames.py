@@ -29,11 +29,11 @@ import json
 import math
 import os
 import time
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, islice, product
+from itertools import accumulate, chain, islice, product, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import kripke, syntax
@@ -511,38 +511,44 @@ class CorrespondenceReport:
 
     def csv_rows(self) -> Iterator[str]:
         """The lines of `correspond --csv` after its header, one per
-        mismatch, formatted from the rows.  A countermodel is the CSV cell of
+        mismatch, formatted from the rows, each ending in a newline as
+        `writelines` takes them.  A countermodel is the CSV cell of
         json.dumps(kripke.model_to_dict(model)), put together from the JSON
         of its frame's document up to its edges, of its edges and of its
-        valuation's fields, each quoted for CSV once.  The first and the
-        last are cached for this call; a relation's rows are adjacent, so
-        only the last relation's edges are kept."""
-        heads: dict[tuple[int, str], str] = {}
-        edges_key = edges_part = None
-        valuation_parts: dict[tuple[str, int, str], str] = {}
+        valuation's fields, each quoted for CSV once.  So its line is one
+        concatenation of four parts: the relation's `n:bits:` and its edges,
+        built when its first row is read, as the rows are bucketed by
+        relation; and between them the labels, ultrafilter, flags and frame
+        head, cached per labelling and ultrafilter, and after them the
+        valuation, cached per labelling, witness and ultrafilter together
+        with that head."""
+        heads: dict[tuple[str, int], str] = {}
+        parts: dict[tuple[str, int, int], tuple[str, str]] = {}
+        last_n = last_bits = None
         for n, bits, labels, u, witness in self.rows:
-            name = _ULTRAFILTER_NAME[u.generator]
-            head = f"{n}:{bits}:{labels};U={name}"
-            if witness.__class__ is not int:
-                yield f"{head},false,true,{_csv_cell('violation at ' + ','.join(witness))}"
-                continue
-            worlds = _world_names(n)
-            frame_head = heads.get((n, labels))
-            if frame_head is None:
-                # The document of the frame without edges ends in `[]}`.
-                frame = _Labelled(worlds, frozenset(), dict(zip(worlds, labels)))
-                frame_head = heads[n, labels] = _csv_json(kripke.frame_to_dict(frame))[:-3]
-            if edges_key != (n, bits):
-                edges_key = (n, bits)
+            if bits != last_bits or n != last_n:
+                last_n, last_bits, worlds = n, bits, _world_names(n)
                 frame = _Labelled(worlds, _relation_from_bits(worlds, bits),
                                   dict(zip(worlds, labels)))
-                edges_part = _csv_json(kripke.frame_to_dict(frame)["edges"])
-            valuation_part = valuation_parts.get((labels, witness, name))
-            if valuation_part is None:
+                start, edges = f"{n}:{bits}:", _csv_json(kripke.frame_to_dict(frame)["edges"])
+            if witness.__class__ is not int:
+                yield (f"{start}{labels};U={_ULTRAFILTER_NAME[u.generator]},false,true,"
+                       f"{_csv_cell('violation at ' + ','.join(witness))}\n")
+                continue
+            part = parts.get((labels, witness, u.generator))
+            if part is None:
+                head = heads.get((labels, u.generator))
+                if head is None:
+                    # The document of the frame without edges ends in `[]}`.
+                    frame = _Labelled(worlds, frozenset(), dict(zip(worlds, labels)))
+                    head = heads[labels, u.generator] = (
+                        f'{labels};U={_ULTRAFILTER_NAME[u.generator]},true,false,"'
+                        + _csv_json(kripke.frame_to_dict(frame))[:-3])
                 valuation = valuation_at(worlds, labels, self.variables, witness)
-                valuation_part = _csv_json(_valuation_doc(valuation, u))[1:]
-                valuation_parts[labels, witness, name] = valuation_part
-            yield f'{head},true,false,"{frame_head}{edges_part}, {valuation_part}"'
+                part = parts[labels, witness, u.generator] = (
+                    head, f', {_csv_json(_valuation_doc(valuation, u))[1:]}"\n')
+            head, tail = part
+            yield f"{start}{head}{edges}{tail}"
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -558,9 +564,13 @@ def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
     `_weighted` count of the group's frames, its weighted mismatch counts in
     the property-without-validity and the validity-without-property
     directions, and its rows: every mismatch with `every_row`, else the
-    first of each direction and ultrafilter.  No Frame is built unless the
-    property has no clauses."""
-    prop, program, var_names, n, group, selected, max_valuations, every_row, deadline = job
+    first of each direction and ultrafilter.  The rows come per part, then
+    per ultrafilter in the order given, which the caller makes the rank
+    order of ULTRAFILTERS, so that a relation's rows are in report order
+    (see correspondence_check).  Each row tuple is zipped together from
+    the part's constants, its relations and their witnesses.  No Frame is
+    built unless the property has no clauses."""
+    prop, program, var_names, n, group, ranked, max_valuations, every_row, deadline = job
     worlds = _world_names(n)
     checked, counts, rows, met = 0, [0, 0], [], set()
     for labels, chunk, weights in group:
@@ -571,7 +581,7 @@ def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
         holds = prop.relation_mask(worlds, labels, chunk)
         sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
                            max_valuations=max_valuations)
-        for u, valid in zip(selected, sweep.valid_masks_of(sweep.values(program), selected)):
+        for u, valid in zip(ranked, sweep.valid_masks_of(sweep.values(program), ranked)):
             invalid = valid ^ sweep.ones_mask
             mismatched = ~(sweep.relations_meeting(invalid) ^ holds) & carried
             for direction, found in enumerate((mismatched & holds, mismatched & ~holds)):
@@ -585,12 +595,12 @@ def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
                     at = [(found & -found).bit_length() - 1]
                 else:
                     continue
+                relations = list(map(chunk.__getitem__, at))
                 witnesses = (
-                    (prop._violation_at(worlds, labels, chunk[r]) for r in at) if direction
-                    else sweep.lowest_indices(invalid, at)
+                    map(prop._violation_at, repeat(worlds), repeat(labels), relations)
+                    if direction else sweep.lowest_indices(invalid, at)
                 )
-                rows.extend((n, chunk[r], text, u, witness)
-                            for r, witness in zip(at, witnesses))
+                rows.extend(zip(repeat(n), relations, repeat(text), repeat(u), witnesses))
     return checked, counts, rows
 
 
@@ -646,7 +656,10 @@ def correspondence_check(
     "the formula is frame-valid" and "the frame has the property" holds; the
     witness is a countermodel in the property-without-validity direction and
     a property violation in the other.  Mismatches are reported sorted by
-    world count, then the frame encoding as a string, then ultrafilter.  The
+    world count, then the frame encoding as a string, then ultrafilter
+    rank, with no sort of the rows: the jobs walk the ultrafilters in rank
+    order, and the rows are bucketed by relation, the relations sorted (see
+    _by_relation).  `report.ultrafilters` keeps the order given.  The
     report keeps them as rows and builds each Mismatch when read; the first
     of each direction and ultrafilter is re-checked here.  With
     keep_rows=False the report keeps no rows, and the first mismatch of each
@@ -671,9 +684,10 @@ def correspondence_check(
     the check raises AssertionError.  Any other property gets the
     frame-by-frame pass alone at every world count, in this process.  The
     jobs run in this process when `workers`, capped at the CPU count, is 1,
-    else across one pool of that many processes, at most twice that many
-    ahead of the one whose result is read, and honour the frame and time
-    budgets.
+    or when every pass is one group, as where one sweep holds every
+    relation on max_worlds worlds; else across one pool of that many
+    processes, at most twice that many ahead of the one whose result is
+    read.  Both honour the frame and time budgets.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -699,9 +713,14 @@ def correspondence_check(
     symmetric = prop in PROPERTIES.values()
     orbit_key = tuple(sorted({u.name for u in selected}))
     totals = [0, 0]  # weighted mismatches without validity, without the property
+    # Ultrafilters walked in rank order put each relation's rows in report order.
+    ranked = tuple(sorted(selected, key=lambda u: _ULTRAFILTER_RANK[u.generator]))
     workers = min(workers, os.cpu_count() or 1)  # each process starts at the first submit
     pool_context = nullcontext()
-    if workers > 1 and symmetric:
+    # A pass has two groups or more where one sweep cannot hold every relation
+    # of its world count; the sweep width only shrinks as the worlds grow.
+    if (workers > 1 and symmetric
+            and relation_chunk_width(max_worlds, len(variables)) < 1 << max_worlds ** 2):
         from concurrent.futures import ProcessPoolExecutor
 
         pool_context = ProcessPoolExecutor(max_workers=workers)
@@ -725,7 +744,7 @@ def correspondence_check(
             """One pass over the world count's groups: the sums of their jobs."""
             checked, counts, found = 0, [0, 0], []
             for group_checked, group_counts, group_rows in run(
-                (prop, program, variables, n, group, selected, max_valuations, every_row,
+                (prop, program, variables, n, group, ranked, max_valuations, every_row,
                  deadline)
                 for group in groups
             ):
@@ -749,24 +768,27 @@ def correspondence_check(
                             "orbit representatives and the frame-by-frame pass disagree")
             report.frames_checked += checked
             totals = [x + y for x, y in zip(totals, counts)]
-            report.rows += found
+            report.rows += _by_relation(found) if keep_rows else found
     report.totals = dict(zip(("property_without_valid", "valid_without_property"), totals))
-    rows = report.rows
+    _recheck(report.rows, len(selected), totals, prop, formula, variables)
     if not keep_rows:
-        _recheck(rows, len(selected), totals, prop, formula, variables)
         report.rows = []
-        return report
-    # The frame encoding sorts as a string, "2:10:AB" before "2:1:AB": by
-    # world count, then str(bits) + ":", then labels.  Each row sorts on one
-    # int: the rank of its world count and bits in that order, then of its
-    # labels, then the ultrafilter.
-    relations = sorted({(row[0], row[1]) for row in rows}, key=lambda nb: (nb[0], f"{nb[1]}:"))
-    relation_rank = {nb: i for i, nb in enumerate(relations)}
-    label_rank = {text: i for i, text in enumerate(sorted({row[2] for row in rows}))}
-    rows.sort(key=lambda row: (relation_rank[row[0], row[1]] * len(label_rank)
-                               + label_rank[row[2]]) * 3 + _ULTRAFILTER_RANK[row[3].generator])
-    _recheck(rows, len(selected), totals, prop, formula, variables)
     return report
+
+
+def _by_relation(rows: list[Row]) -> list[Row]:
+    """The rows of one world count's frame-by-frame pass in report order.
+    The frame encoding sorts as a string, "2:10:AB" before "2:1:AB": by
+    str(bits) + ":", then labels, then ultrafilter.  The pass puts each
+    relation in one group, whose parts come in label order and whose rows
+    come per part in ultrafilter rank order (see _check_group), so the rows
+    of each relation are already in order: they are bucketed by relation,
+    and only the relations are sorted."""
+    buckets: defaultdict[int, list[Row]] = defaultdict(list)
+    for row in rows:
+        buckets[row[1]].append(row)
+    return list(chain.from_iterable(
+        buckets[bits] for bits in sorted(buckets, key="{}:".format)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from . import kripke, syntax
-from ._sweep import DEFAULT_MAX_VALUATIONS, FrameSweep
+from ._sweep import DEFAULT_MAX_VALUATIONS, FrameSweep, compile_formula
 from .algebra import DEFAULT_ULTRAFILTER
 from .syntax import (
     And,
@@ -445,8 +445,11 @@ def semantic_crosscheck(
     if not result.accepted:
         raise ValueError(f"derivation not accepted: {result.violation}")
     goal = derivation.final_judgment()
+    # The premises in the order of their straight-line code, which is linear
+    # in their size where their text can be exponential.  The search meets
+    # their values and sorts their variables, so no order changes its result.
     counter = kripke.countermodel_search(
-        sorted(goal.premises, key=syntax.format_formula),
+        sorted(goal.premises, key=lambda premise: compile_formula(premise).code),
         goal.conclusion,
         max_worlds,
         "all",

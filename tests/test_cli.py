@@ -198,8 +198,9 @@ def test_correspond_workers_honour_budgets(capsys, monkeypatch, budget):
         # has passed at the first check however fast the host is.
         ticks = itertools.count()
         monkeypatch.setattr(frames.time, "monotonic", lambda: float(next(ticks)))
+    # Two variables, so that the pool starts: one sweep holds 16 relations.
     code, out, err = run(capsys, "correspond", "--property", "reflexive",
-                         "--formula", "[]p -> p", "--max-worlds", "3",
+                         "--formula", "[]p -> q", "--max-worlds", "3",
                          "--workers", "2", *budget)
     assert code == 3 and out == ""
     assert "resource cap exceeded" in err

@@ -236,6 +236,19 @@ def test_the_pool_is_read_through_a_window(monkeypatch):
                                                           one.frames_checked)
 
 
+def test_the_pool_starts_only_where_a_pass_has_two_groups(monkeypatch):
+    """One sweep holds all 512 relations on three worlds for one variable,
+    so every pass is one job and runs in process; with two variables it
+    holds 16, and the pool starts."""
+    sizes, submitted, _ = _inline_pool(monkeypatch, 2)
+    for name, formula in POOLED:
+        report = correspondence_check(name, formula, 3, workers=2)
+        assert report.rows and report.rows == correspondence_check(name, formula, 3).rows
+    assert not sizes and not submitted
+    correspondence_check(*TWO_VARIABLES, 3, workers=2)
+    assert sizes == [2] and submitted
+
+
 @pytest.mark.parametrize("workers, cpus, size", [
     (3, 2, 2), (2, 4, 2), (2, 1, None), (3, None, None)])
 def test_the_pool_has_a_process_per_cpu_at_most(monkeypatch, workers, cpus, size):

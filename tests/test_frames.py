@@ -22,6 +22,7 @@ from mlml.frames import (
     is_tte,
 )
 from mlml._sweep import ResourceBudgetExceeded
+from mlml.algebra import ULTRAFILTERS
 from mlml.kripke import Frame, Model, model_valid
 from mlml.syntax import parse, variables
 from packed_layout import group, mask_at
@@ -444,7 +445,8 @@ CRITERIA = (
 def _csv_reference(report):
     """The CSV lines of the report's mismatches, each built as a Mismatch and
     written out from it: the witness through model_to_dict and json.dumps,
-    or as its violation, and each line by the standard csv module."""
+    or as its violation, and each line, with its newline, by the standard
+    csv module."""
     import csv
     import io
     import json
@@ -465,7 +467,19 @@ def _csv_reference(report):
         writer.writerow([f"{keys[-1][1]};U={keys[-1][2]}", str(holds).lower(),
                          str(not holds).lower(), witness])
     assert keys == sorted(keys)  # the encoding sorts as a string
-    return buffer.getvalue().splitlines()
+    return buffer.getvalue().splitlines(keepends=True)
+
+
+E1, E2, E3 = ULTRAFILTERS
+# Every ultrafilter, and two given against their rank order.
+SELECTIONS = pytest.mark.parametrize("selected", ["all", (E3, E1)], ids=["all", "e3-e1"])
+
+
+def _in_report_order(rows):
+    """The rows sorted by the report's key: world count, the relation bits
+    as the frame encoding writes them, labels, then ultrafilter rank."""
+    rank = {u: i for i, u in enumerate(ULTRAFILTERS)}
+    return sorted(rows, key=lambda row: (row[0], f"{row[1]}:", row[2], rank[row[3]]))
 
 
 @pytest.mark.parametrize("prop, text", CRITERIA)
@@ -474,16 +488,35 @@ def test_csv_rows_match_the_mismatches(prop, text):
     assert list(report.csv_rows()) == _csv_reference(report)
 
 
+@pytest.mark.parametrize("prop, text", CRITERIA)
+def test_csv_rows_match_the_mismatches_given_e3_e1(prop, text):
+    """Two ultrafilters given against their rank order."""
+    report = correspondence_check(prop, text, 2, (E3, E1))
+    assert list(report.csv_rows()) == _csv_reference(report)
+
+
+@SELECTIONS
+@pytest.mark.parametrize("prop, text", CRITERIA)
+def test_rows_come_in_report_order(prop, text, selected):
+    """The rows are bucketed, not sorted: they must come out as the sort by
+    the report's key puts them, with the ultrafilters in rank order whatever
+    order they were given in, which `report.ultrafilters` keeps."""
+    report = correspondence_check(prop, text, 3, selected)
+    assert report.rows == _in_report_order(report.rows)
+    assert report.ultrafilters == (("e1", "e2", "e3") if selected == "all" else ("e3", "e1"))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_csv_rows_match_the_mismatches_in_chunks(workers):
     """Two variables at three worlds: 16-relation chunks, both directions,
-    one or two workers.  Read with the variables in the other order too, so
+    one or two workers, the rows in report order.  Read with the variables in the other order too, so
     that slot order and sorted order differ."""
     from dataclasses import replace
 
     report = correspondence_check("super_out_of_bubble", "[](p | q) -> p | q", 3,
                                   workers=workers)
     assert report.directions() == {"property_without_valid", "valid_without_property"}
+    assert report.rows == _in_report_order(report.rows)
     assert list(report.csv_rows()) == _csv_reference(report)
     swapped = replace(report, variables=report.variables[::-1])
     assert list(swapped.csv_rows()) == _csv_reference(swapped)

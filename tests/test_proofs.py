@@ -239,6 +239,43 @@ def test_semantic_crosscheck_clean_corpus():
         assert report.sound, f"{name}: countermodel {report.countermodel}"
 
 
+def test_semantic_crosscheck_of_a_premise_too_long_to_print():
+    """X |- X in one TautCons step, X a `<->` chain of 22 copies of p, whose
+    text is past the printing cap: the cross-check never prints it."""
+    from mlml._sweep import ResourceBudgetExceeded
+    from mlml.syntax import format_formula
+
+    x = parse(" <-> ".join(["p"] * 22))
+    derivation = Derivation([step([], "p", "TautCons")])
+    derivation = Derivation([dataclasses.replace(
+        derivation.steps[0], judgment=judgment(frozenset({x}), x))])
+    assert check(derivation).accepted
+    with pytest.raises(ResourceBudgetExceeded):
+        format_formula(x)
+    assert semantic_crosscheck(derivation, 2).sound
+
+
+def test_semantic_crosscheck_countermodel_does_not_depend_on_premise_order(monkeypatch):
+    """two_not_ball_1's three premises with the refutable conclusion
+    [](p & q): the search finds the model the cross-check reports whatever
+    order the premises are given in."""
+    import itertools
+
+    from mlml import proofs
+    from mlml.kripke import countermodel_search, model_to_dict
+    from proof_corruptions import set_conclusion
+
+    derivation = set_conclusion(corpus_by_name()["two_not_ball_1"], 3, "[](p & q)")
+    goal = derivation.final_judgment()
+    assert len(goal.premises) == 3
+    monkeypatch.setattr(proofs, "check", lambda d: proofs.CheckResult(True))
+    report = semantic_crosscheck(derivation, 2)
+    assert not report.sound
+    expected = model_to_dict(report.countermodel)
+    for order in itertools.permutations(goal.premises):
+        assert model_to_dict(countermodel_search(order, goal.conclusion, 2)) == expected
+
+
 def test_semantic_crosscheck_requires_accepted_derivation():
     bogus = Derivation([step(["p"], "[]p", "Premise")])
     with pytest.raises(ValueError):
