@@ -8,8 +8,8 @@ propositional semantics, `search` runs the bounded countermodel search,
 
 Exit status: 0 when the query holds (valid, consequence, accepted, no
 mismatch, no countermodel), 1 on the semantic negative, 2 on usage, parse or
-schema errors, 3 when a resource cap was exceeded.  Output is a pure
-function of arguments and input files; nothing is randomized.
+schema errors, 3 when a resource cap was exceeded or memory ran out.  Output
+is a pure function of arguments and input files; nothing is randomized.
 """
 
 from __future__ import annotations
@@ -79,6 +79,12 @@ def _load_model(path: str) -> kripke.Model:
         return kripke.model_from_dict(_load_json(path))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _property(name: str) -> frames.FrameProperty:
+    if name not in frames.PROPERTIES:
+        raise CliError(f"unknown property {name!r}; have {', '.join(sorted(frames.PROPERTIES))}")
+    return frames.PROPERTIES[name]
 
 
 def _ultrafilters(args) -> tuple[algebra.Ultrafilter, ...]:
@@ -151,11 +157,7 @@ def _cmd_cons4(args) -> int:
 def _cmd_search(args) -> int:
     premises = _parse_premises(args.premises)
     goal = _parse_formula(args.goal)
-    frame_filter = None
-    if args.require_property is not None:
-        if args.require_property not in frames.PROPERTIES:
-            raise CliError(f"unknown property {args.require_property!r}")
-        frame_filter = frames.PROPERTIES[args.require_property]
+    frame_filter = None if args.require_property is None else _property(args.require_property)
     counter = kripke.countermodel_search(
         premises,
         goal,
@@ -174,11 +176,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_correspond(args) -> int:
-    if args.property not in frames.PROPERTIES:
-        raise CliError(f"unknown property {args.property!r}; have {', '.join(sorted(frames.PROPERTIES))}")
     selected = _ultrafilters(args)
     report = frames.correspondence_check(
-        args.property,
+        _property(args.property),
         _parse_formula(args.formula),
         args.max_worlds,
         selected,
@@ -384,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ResourceBudgetExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource cap exceeded: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

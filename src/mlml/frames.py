@@ -206,27 +206,21 @@ def _first_violation(
 class FrameProperty:
     """A named frame property, given by its violation finder.
 
-    A finder carrying a `clauses` attribute, as ClauseViolation does (and
-    any wrapper made with functools.wraps around it), is also checked on
-    relation bitmasks: `relation_mask` answers for a whole chunk of relations
-    at once.  Any other finder is called frame by frame.
+    The finder carries a `clauses` attribute, as ClauseViolation does (and
+    any wrapper made with functools.wraps around it), so the property is
+    also checked on relation bitmasks: `relation_mask` answers for a whole
+    chunk of relations at once.
     """
 
     name: str
     violation: Callable[[Frame], tuple | None]
 
+    def __post_init__(self) -> None:
+        if not callable(getattr(self.violation, "clauses", None)):
+            raise TypeError(f"property {self.name!r}: the violation finder has no clauses")
+
     def holds(self, frame: Frame) -> bool:
         return self.violation(frame) is None
-
-    def _violation_at(
-        self, worlds: tuple[str, ...], labels: tuple[str, ...], bits: int
-    ) -> tuple | None:
-        """The violation on the labelled worlds with the relation bitmask,
-        read off the clauses when the finder has them."""
-        clauses = getattr(self.violation, "clauses", None)
-        if clauses is None:
-            return self.violation(_frame_from_bits(worlds, labels, bits))
-        return _first_violation(clauses, worlds, labels, bits)
 
     def relation_mask(
         self, worlds: tuple[str, ...], labels: tuple[str, ...],
@@ -236,17 +230,10 @@ class FrameProperty:
         bitmask is relations[r] has the property; `relations` is an aligned
         range or a sorted tuple, as for a RelationChunk."""
         every = (1 << len(relations)) - 1
-        clauses = getattr(self.violation, "clauses", None)
-        if clauses is None:
-            return sum(
-                1 << r
-                for r, bits in enumerate(relations)
-                if self.holds(_frame_from_bits(worlds, labels, bits))
-            )
         n = len(worlds)
         edges = edge_masks(relations, n * n, 1)
         failing = 0
-        for _, _, _, required, forbidden in _clause_table(clauses, n, labels):
+        for _, _, _, required, forbidden in _clause_table(self.violation.clauses, n, labels):
             fails = every
             for k in required:
                 fails &= edges[k]
@@ -569,7 +556,7 @@ def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
     order of ULTRAFILTERS, so that a relation's rows are in report order
     (see correspondence_check).  Each row tuple is zipped together from
     the part's constants, its relations and their witnesses.  No Frame is
-    built unless the property has no clauses."""
+    built."""
     prop, program, var_names, n, group, ranked, max_valuations, every_row, deadline = job
     worlds = _world_names(n)
     checked, counts, rows, met = 0, [0, 0], [], set()
@@ -597,7 +584,8 @@ def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
                     continue
                 relations = list(map(chunk.__getitem__, at))
                 witnesses = (
-                    map(prop._violation_at, repeat(worlds), repeat(labels), relations)
+                    map(_first_violation, repeat(prop.violation.clauses), repeat(worlds),
+                        repeat(labels), relations)
                     if direction else sweep.lowest_indices(invalid, at)
                 )
                 rows.extend(zip(repeat(n), relations, repeat(text), repeat(u), witnesses))
@@ -848,10 +836,9 @@ def _countermodel_scan(
     budget."""
     if getattr(frame_filter, "__func__", None) is FrameProperty.holds:
         frame_filter = frame_filter.__self__  # a bound `holds`, as the is_* aliases are
-    symmetric = frame_filter is None or frame_filter in PROPERTIES.values()
     if frame_filter is not None and not isinstance(frame_filter, FrameProperty):
-        predicate = frame_filter
-        frame_filter = FrameProperty("filter", lambda frame: None if predicate(frame) else ())
+        raise TypeError("frame_filter must be a FrameProperty, its bound holds, or None")
+    symmetric = frame_filter is None or frame_filter in PROPERTIES.values()
     var_names = syntax.variables(*premises, goal)
     *folded, goal = (syntax.fold_constants(g) for g in premises + (goal,))
     modal_free = all(syntax.is_modal_free(g) for g in folded + [goal])

@@ -304,8 +304,9 @@ def countermodel_search(
     countermodel up to the bound, which is weaker than validity.
 
     frame_filter restricts the search to frames with a property, e.g. one
-    under study: a FrameProperty, checked on relation bitmasks, or any
-    predicate on frames.  max_frames caps the frames passing it.
+    under study: a FrameProperty, checked on relation bitmasks, or its bound
+    `holds`, as the is_* aliases are; anything else raises TypeError.
+    max_frames caps the frames passing it.
     """
     from .frames import _countermodel_scan  # frames imports this module
 

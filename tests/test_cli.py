@@ -298,6 +298,25 @@ def test_resource_cap_exit(capsys):
     assert "cap" in err
 
 
+def test_running_out_of_memory_is_a_resource_exit(capsys, monkeypatch):
+    def least_frames(n):
+        raise MemoryError
+
+    monkeypatch.setattr(frames, "least_frames", least_frames)
+    assert run(capsys, "enumerate", "--worlds", "9", "--count", "--reduce") == (
+        3, "", "resource cap exceeded: out of memory\n")
+
+
+def test_unknown_property_names_the_known_ones(capsys):
+    message = ("error: unknown property 'nope'; have euclidean, out_of_bubble, reflexive, "
+               "serial, super_out_of_bubble, symmetric, transitive, "
+               "transitive_through_difference, transitive_through_equality\n")
+    assert run(capsys, "search", "--goal", "p", "--require-property", "nope") == (
+        2, "", message)
+    assert run(capsys, "correspond", "--property", "nope", "--formula", "p") == (
+        2, "", message)
+
+
 def test_bad_usage_exit(capsys):
     assert main(["correspond", "--property", "reflexive"]) == 2
     capsys.readouterr()

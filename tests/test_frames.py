@@ -349,23 +349,6 @@ def test_transitive_witness_is_the_first_in_world_order():
     assert PROPERTIES["transitive"].violation(frame) == ("w1", "w2", "w1")
 
 
-def test_property_without_clauses_runs_frame_by_frame():
-    """A property given only by its predicate yields the same mismatches,
-    witnesses included."""
-    from mlml.frames import FrameProperty
-
-    builtin = PROPERTIES["symmetric"]
-    plain = FrameProperty("symmetric", lambda frame: builtin.violation(frame))
-    for formula in ("p -> []<>p", "<>p -> []p"):
-        a = correspondence_check(builtin, formula, 2)
-        b = correspondence_check(plain, formula, 2)
-        assert a.directions() == b.directions()
-        assert [(frame_encoding(m.frame), m.ultrafilter.name, m.direction, m.witness)
-                for m in a.mismatches] == [
-                   (frame_encoding(m.frame), m.ultrafilter.name, m.direction, m.witness)
-                   for m in b.mismatches]
-
-
 @pytest.mark.parametrize("name,text,directions", [
     ("super_out_of_bubble", "[](p | q) -> p | q",
      {"property_without_valid", "valid_without_property"}),
