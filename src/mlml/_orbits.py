@@ -25,17 +25,19 @@ the relations are compared with their images from the top edge bit down,
 giving the masks of "r < s(r)" and "r = s(r)" in a few bitwise operations
 per edge.  A relation is canonical where no s gives "r > s(r)", and a
 bit-sliced counter of the "r = s(r)" masks gives |Stab_H(r)|.  Run over all
-of S_n, with the permuted label tuple breaking ties, the same comparison
-picks the least frame of each orbit for `least_frames`.
+of S_n, the same comparison gives `least_frames` the relations least in
+their orbit, and the "r = s(r)" masks each one's stabiliser, under which its
+labellings are compared.
 
-Nothing is cached beyond the small tables of permutations: the relation
-space is walked in aligned chunks of at most 2**12 relations.
+Nothing is cached beyond the small tables of permutations and, per
+stabiliser, its least labellings: the relation space is walked in aligned
+chunks of at most 2**12 relations.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from typing import Iterator, Sequence
 
 from ._sweep import edge_masks, set_bits
@@ -150,29 +152,29 @@ def canonical_relations(
 
 def least_frames(n: int) -> Iterator[tuple[int, tuple[str, ...]]]:
     """The (relation bitmask, labels) of the least frame of each orbit under
-    simultaneous world permutations, by bitmask and then labels: the frames
-    whose (bitmask, labels) is at most its image under every permutation."""
+    simultaneous world permutations, by bitmask and then labels.  A frame is
+    least in its orbit iff its bitmask is at most every image of it and its
+    labels are at most their image under every permutation that fixes the
+    bitmask.  The least labellings are kept per set of such permutations:
+    few sets occur."""
     perms = list(permutations(range(n)))
     labellings = list(product(LATTICE_LABELS, repeat=n))
-
-    def moved(labels: tuple[str, ...], s: tuple[int, ...]) -> tuple[str, ...]:
-        image = [""] * n
-        for i, label in enumerate(labels):
-            image[s[i]] = label
-        return tuple(image)
-
-    # Per labelling, the permutations whose image of it is not below it.
-    ties = [[labels <= moved(labels, s) for s in perms] for labels in labellings]
+    # Per set of permutations fixing a bitmask, perms[k] as bit k: the
+    # labellings at most their image under each.
+    least: dict[int, list[tuple[str, ...]]] = {}
     for relations in _chunks(n):
-        comparisons = list(_comparisons(perms, n, relations))
-        every = (1 << len(relations)) - 1
-        at: dict[int, list[tuple[str, ...]]] = {}
-        for labels, keeps in zip(labellings, ties):
-            least = every
-            for (below, equal), keep in zip(comparisons, keeps):
-                least &= below | equal if keep else below
-            for r in set_bits(least):
-                at.setdefault(r, []).append(labels)
-        for r in sorted(at):
-            for labels in at[r]:
-                yield relations.start + r, labels
+        canonical, fixing = (1 << len(relations)) - 1, {}
+        # The identity, perms[0], fixes every relation and moves no labels.
+        for k, (below, equal) in enumerate(_comparisons(perms[1:], n, relations), 1):
+            canonical &= below | equal
+            for r in set_bits(equal & canonical):
+                fixing[r] = fixing.get(r, 0) | 1 << k
+        for r in set_bits(canonical):
+            key = fixing.get(r, 0)
+            if key not in least:
+                # With the identity they form a group, closed under inverses,
+                # and under the inverse of s world j gets the label of s[j].
+                movers = [perms[k] for k in set_bits(key)]
+                least[key] = [labels for labels in labellings
+                              if all(labels <= tuple(labels[i] for i in s) for s in movers)]
+            yield from zip(repeat(relations.start + r), least[key])

@@ -42,9 +42,9 @@ every sweep.
 
 The correspondence battery and the countermodel search pack the relation
 axis as well.  A sweep over a `RelationChunk` covers one labelling of n
-worlds and R relation bitmasks, R a power of two: a power-of-two-aligned
-range, or a sorted tuple such as the search's canonical relations of an
-orbit representative (see _orbits).  The groups are relation-major within
+worlds and R relation bitmasks: a power-of-two-aligned range of them, or an
+ascending tuple of any length, such as the search's canonical relations of
+an orbit representative (see _orbits).  The groups are relation-major within
 each plane: relation r's N valuations occupy groups [r*N, (r+1)*N).
 A single `Frame` is swept as the one-relation chunk of its own bitmask,
 `relation_bits`.  `edge_masks` gives each edge w->u as the mask of the
@@ -159,13 +159,16 @@ def compile_formula(f: Formula) -> Program:
 
 
 def _replicate(block: int, block_bits: int, copies: int) -> int:
-    """Concatenate `copies` copies of a block of bits (copies is a power of two)."""
+    """Concatenate `copies` copies of a block of bits: double them past the
+    count, then cut off the copies over it, if any."""
     value = block
     span = block_bits
     total = block_bits * copies
     while span < total:
         value |= value << span
         span *= 2
+    if span > total:
+        value &= (1 << total) - 1
     return value
 
 
@@ -173,7 +176,7 @@ def _replicate(block: int, block_bits: int, copies: int) -> int:
 def _var_vector(slot_count: int, slot: int, domain: tuple[int, ...], relations: int = 1) -> int:
     """Packed value of the variable in `slot` at a world whose slot digits
     range over `domain`, across all len(domain) ** slot_count valuations,
-    repeated for each of `relations` relations (a power of two)."""
+    repeated for each of `relations` relations."""
     base = len(domain)
     run = base ** (slot_count - 1 - slot)
     groups = base ** slot_count * relations
@@ -270,8 +273,9 @@ def relation_bits(frame: "Frame") -> int:
 class RelationChunk:
     """Every frame on the labelled worlds whose relation bitmask is in
     `relations`: either 2**k consecutive masks starting at a multiple of
-    2**k, or a tuple of 2**k masks in ascending order, where a repeated mask
-    is swept once more.  Bit i*n+j of a mask means world i reaches world j."""
+    2**k, whose edges `edge_masks` reads off fixed bit patterns, or a
+    nonempty tuple of masks in strictly ascending order.  Bit i*n+j of a
+    mask means world i reaches world j."""
 
     worlds: tuple[str, ...]
     labels: tuple[str, ...]
@@ -280,8 +284,8 @@ class RelationChunk:
     def __post_init__(self) -> None:
         relations, count = self.relations, len(self.relations)
         if isinstance(relations, tuple):
-            if not count or count & (count - 1) or list(relations) != sorted(relations):
-                raise ValueError(f"{relations!r} is not a sorted tuple of power-of-two length")
+            if not count or any(a >= b for a, b in zip(relations, relations[1:])):
+                raise ValueError(f"{relations!r} is not a nonempty ascending tuple")
         elif not count or count & (count - 1) or relations.start % count or relations.step != 1:
             raise ValueError(f"{relations!r} is not an aligned power-of-two range")
 

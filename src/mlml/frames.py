@@ -37,14 +37,13 @@ from itertools import accumulate, chain, islice, product, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import kripke, syntax
-from ._orbits import _labelling_orbits, canonical_relations, least_frames
+from ._orbits import _chunks, _labelling_orbits, canonical_relations, least_frames
 from .algebra import LATTICE_LABELS, ULTRAFILTERS, Ultrafilter
 from ._sweep import (
     AND,
     BALL,
     BOX,
     DEFAULT_MAX_VALUATIONS,
-    MAX_PACKED_GROUPS,
     NOT,
     VAR,
     FrameSweep,
@@ -228,7 +227,7 @@ class FrameProperty:
     ) -> int:
         """Bit r set iff the frame on the labelled worlds whose relation
         bitmask is relations[r] has the property; `relations` is an aligned
-        range or a sorted tuple, as for a RelationChunk."""
+        range or an ascending tuple, as for a RelationChunk."""
         every = (1 << len(relations)) - 1
         n = len(worlds)
         edges = edge_masks(relations, n * n, 1)
@@ -310,14 +309,11 @@ def enumerate_frames(n: int, reduce_isomorphism: bool = False) -> Iterator[Frame
     if n < 1:
         raise ValueError("world count must be >= 1")
     worlds = _world_names(n)
-    if reduce_isomorphism:
-        for bits, labels in least_frames(n):
-            yield Frame(worlds, _relation_from_bits(worlds, bits), dict(zip(worlds, labels)))
-        return
-    for bits in range(1 << (n * n)):
-        relation = _relation_from_bits(worlds, bits)
-        for labels in product(LATTICE_LABELS, repeat=n):
-            yield Frame(worlds, relation, dict(zip(worlds, labels)))
+    labellings = list(product(LATTICE_LABELS, repeat=n))
+    codes = least_frames(n) if reduce_isomorphism else (
+        (bits, labels) for bits in range(1 << (n * n)) for labels in labellings)
+    for bits, labels in codes:
+        yield _frame_from_bits(worlds, labels, bits)
 
 
 def count_frames(n: int) -> int:
@@ -332,7 +328,7 @@ def count_frames(n: int) -> int:
 
 # A part of a scan over weighted frames: a labelling, a relation chunk, and
 # its frame weights, each weight mapped to the units of the chunk that carry
-# it; a unit carries one weight or, as padding, none.
+# it; every unit carries one weight.
 _Part = tuple[tuple[str, ...], "range | tuple[int, ...]", dict[int, int]]
 
 
@@ -342,9 +338,8 @@ def _parts(width: int, sources: list[tuple], ramp: bool) -> Iterator[list[_Part]
     of each per group up to `width` with `ramp`, so that an early hit stays
     cheap, else `width` at a time.  Relations are an aligned range, cut into
     aligned ranges whose frames all carry the source's weight, or an
-    ascending iterator of (relation, weight) pairs, cut into tuples padded
-    to a power of two with their last relation, each frame weighted by the
-    source's weight times its own."""
+    ascending iterator of (relation, weight) pairs, cut into tuples of its
+    relations, each frame weighted by the source's weight times its own."""
     done = 0
     while True:
         step = min(width, max(1, done)) if ramp else width
@@ -360,9 +355,7 @@ def _parts(width: int, sources: list[tuple], ramp: bool) -> Iterator[list[_Part]
                 weights: dict[int, int] = {}
                 for k, (_, own) in enumerate(taken):
                     weights[weight * own] = weights.get(weight * own, 0) | 1 << k
-                padding = (1 << (len(taken) - 1).bit_length()) - len(taken)
-                chunk = tuple(r for r, _ in taken) + (taken[-1][0],) * padding
-                group.append((labels, chunk, weights))
+                group.append((labels, tuple(r for r, _ in taken), weights))
         if not group:
             return
         done += step
@@ -547,30 +540,30 @@ def _check_group(job: tuple) -> tuple[int, list[int], list[Row]]:
     """Check one group of weighted parts of the frames on n worlds, each
     part's chunk no wider than one sweep holds: per part, one packed sweep,
     one meet of the program's world values for every selected ultrafilter,
-    validity and the property reduced to one bit per relation.  Returns the
-    `_weighted` count of the group's frames, its weighted mismatch counts in
-    the property-without-validity and the validity-without-property
-    directions, and its rows: every mismatch with `every_row`, else the
-    first of each direction and ultrafilter.  The rows come per part, then
-    per ultrafilter in the order given, which the caller makes the rank
-    order of ULTRAFILTERS, so that a relation's rows are in report order
-    (see correspondence_check).  Each row tuple is zipped together from
-    the part's constants, its relations and their witnesses.  No Frame is
-    built."""
+    validity and the property reduced to one bit per relation, each of
+    which carries a weight.  Returns the `_weighted` count of the group's
+    frames, its weighted mismatch counts in the property-without-validity
+    and the validity-without-property directions, and its rows: every
+    mismatch with `every_row`, else the first of each direction and
+    ultrafilter.  The rows come per part, then per ultrafilter in the order
+    given, which the caller makes the rank order of ULTRAFILTERS, so that a
+    relation's rows are in report order (see correspondence_check).  Each
+    row tuple is zipped together from the part's constants, its relations
+    and their witnesses.  No Frame is built."""
     prop, program, var_names, n, group, ranked, max_valuations, every_row, deadline = job
     worlds = _world_names(n)
     checked, counts, rows, met = 0, [0, 0], [], set()
     for labels, chunk, weights in group:
         _check_deadline(deadline)
         text = "".join(labels)
-        carried = sum(weights.values())  # the units with a weight; the others are padding
-        checked += _weighted(weights, carried)
+        every = (1 << len(chunk)) - 1
+        checked += _weighted(weights, every)
         holds = prop.relation_mask(worlds, labels, chunk)
         sweep = FrameSweep(RelationChunk(worlds, labels, chunk), var_names,
                            max_valuations=max_valuations)
         for u, valid in zip(ranked, sweep.valid_masks_of(sweep.values(program), ranked)):
             invalid = valid ^ sweep.ones_mask
-            mismatched = ~(sweep.relations_meeting(invalid) ^ holds) & carried
+            mismatched = ~(sweep.relations_meeting(invalid) ^ holds) & every
             for direction, found in enumerate((mismatched & holds, mismatched & ~holds)):
                 if not found:
                     continue
@@ -794,19 +787,18 @@ def _relation_blind_parts(
     per orbit representative of `_labelling_orbits` with a passing
     relation.  Its `_parts` source is the range of the least passing
     relation, weighted by the orbit's size times the number of passing
-    relations; the property is read off `relation_mask` over every relation,
-    2**16 at a time."""
-    worlds, total = _world_names(n), 1 << (n * n)
-    width = min(total, MAX_PACKED_GROUPS)
+    relations; the property is read off `relation_mask` over the chunks
+    that _orbits walks the relations in."""
+    worlds = _world_names(n)
     sources = []
     for labels, size in _labelling_orbits(n, orbit_key):
-        least, count = 0, total
+        least, count = 0, 1 << (n * n)
         if prop is not None:
             least, count = None, 0
-            for lo in range(0, total, width):
-                mask = prop.relation_mask(worlds, labels, range(lo, lo + width))
+            for relations in _chunks(n):
+                mask = prop.relation_mask(worlds, labels, relations)
                 if mask and least is None:
-                    least = lo + (mask & -mask).bit_length() - 1
+                    least = relations.start + (mask & -mask).bit_length() - 1
                 count += mask.bit_count()
         if count:
             sources.append((labels, size * count, range(least, least + 1)))
@@ -846,20 +838,19 @@ def _countermodel_scan(
     goal_program = compile_formula(goal)
 
     def scan(n: int, groups: Iterable[list[_Part]], budget: float) -> tuple[Model | None, int]:
-        """The search on n worlds over groups of parts; a unit of a part's
-        chunk with no weight is padding.  Per group, one sweep per part with
-        a frame passing the filter, and the lowest unit wins, then the part,
-        the ultrafilter and `lowest_index`: with one chunk for every part,
-        as frame by frame.  Returns the first countermodel, or None, and the
-        weighted count of the frames passing the filter up to it.  Stops at
-        the group where that count passes `budget`, and sweeps nothing once
-        the count has reached it."""
+        """The search on n worlds over groups of parts.  Per group, one
+        sweep per part with a frame passing the filter, and the lowest unit
+        wins, then the part, the ultrafilter and `lowest_index`: with one
+        chunk for every part, as frame by frame.  Returns the first
+        countermodel, or None, and the weighted count of the frames passing
+        the filter up to it.  Stops at the group where that count passes
+        `budget`, and sweeps nothing once the count has reached it."""
         worlds = _world_names(n)
         count = 0
         for group in groups:
             passing = []
             for labels, relations, weights in group:
-                units = sum(weights.values())
+                units = (1 << len(relations)) - 1
                 if frame_filter is not None:
                     units &= frame_filter.relation_mask(worlds, labels, relations)
                 passing.append(units)

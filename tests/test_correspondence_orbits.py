@@ -323,13 +323,13 @@ def meeting_cases(draw):
     worlds = tuple(f"w{i + 1}" for i in range(n))
     labels = tuple(draw(st.sampled_from("ABC")) for _ in worlds)
     total = 1 << (n * n)
-    count = 1 << draw(st.integers(0, min(n * n, 6)))
     if draw(st.booleans()):
+        count = 1 << draw(st.integers(0, min(n * n, 6)))
         start = draw(st.integers(0, total // count - 1)) * count
         relations = range(start, start + count)
-    else:
-        relations = tuple(sorted(draw(st.lists(st.integers(0, total - 1),
-                                               min_size=count, max_size=count))))
+    else:  # an ascending tuple of any length
+        count = draw(st.integers(1, min(total, 64)))
+        relations = tuple(sorted(draw(st.permutations(range(total)))[:count]))
     sweep = FrameSweep(RelationChunk(worlds, labels, relations), ("p", "q")[:variables],
                        binary=binary)
     size = sweep.valuation_count

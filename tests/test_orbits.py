@@ -9,6 +9,7 @@ themselves and against Burnside's lemma.
 """
 
 import hashlib
+import tracemalloc
 from itertools import permutations, product
 from math import factorial
 
@@ -99,31 +100,29 @@ def _weighted_total(groups, n, width, ramp):
     """The weighted frame count of a pass, after checking the shape of its
     groups: group k takes from each labelling the next step of 1, 1, 2, 4,
     ... relations up to `width` with `ramp`, else `width`, as an aligned
-    range or a sorted tuple padded to a power of two with its last relation,
-    and each labelling's relations come once each, ascending."""
+    range or a strictly ascending tuple no longer than the step, every unit
+    carrying one weight, and each labelling's relations come once each,
+    ascending."""
     total, done, seen = 0, 0, {}
     for group in groups:
         step = min(width, max(1, done)) if ramp else width
         done += step
         for labels, chunk, weights in group:
             count = len(chunk)
-            assert count <= width and count & (count - 1) == 0
+            assert 0 < count <= width
             carried = 0
             for weight, units in weights.items():
                 assert weight > 0 and units and not carried & units
                 carried |= units
                 total += weight * units.bit_count()
-            taken = carried.bit_length()
-            assert carried == (1 << taken) - 1  # padding, if any, comes last
+            assert carried == (1 << count) - 1  # every unit carries a weight
             if isinstance(chunk, range):
-                assert chunk.step == 1 and chunk.start % count == 0 and taken == count
-                assert count == step
+                assert count & (count - 1) == 0
+                assert chunk.step == 1 and chunk.start % count == 0 and count == step
             else:
-                assert list(chunk) == sorted(chunk) and len(set(chunk)) == taken <= step
-                assert count == 1 << (taken - 1).bit_length()
-                assert chunk[taken:] == chunk[taken - 1:taken] * (count - taken)
+                assert all(a < b for a, b in zip(chunk, chunk[1:])) and count <= step
             swept = seen.setdefault(labels, [])
-            swept += chunk[:taken]
+            swept += chunk
     for swept in seen.values():
         assert swept == sorted(set(swept))
     return total
@@ -134,7 +133,7 @@ def test_every_pass_is_cut_into_ramped_aligned_parts(names):
     """The frame-by-frame and orbit passes weigh every frame, the
     relation-blind pass every frame passing the property, with one or two
     variables and with or without the ramp, on up to three worlds, and the
-    orbit pass's padded tuples on four."""
+    orbit pass's canonical tuples on four."""
     for n in (1, 2, 3):
         for variables, ramp in product((1, 2), (False, True)):
             width = relation_chunk_width(n, variables)
@@ -149,12 +148,13 @@ def test_every_pass_is_cut_into_ramped_aligned_parts(names):
             groups = list(frames._relation_blind_parts(n, names, prop))
             assert len(groups) == 1
             assert _weighted_total(groups, n, 1, False) == passing
-    # Canonical tuples need padding from four worlds on.
+    # Canonical tuples come from four worlds on, some with a tail whose
+    # length is not a power of two.
     for ramp in (False, True):
         groups = list(frames._orbit_parts(4, 1, names, ramp))
         assert _weighted_total(groups, 4, relation_chunk_width(4, 1), ramp) == count_frames(4)
-        assert any(len(chunk) > sum(weights.values()).bit_length()
-                   for group in groups for _, chunk, weights in group)
+        assert any(isinstance(chunk, tuple) and len(chunk) & (len(chunk) - 1)
+                   for group in groups for _, chunk, _ in group)
 
 
 def test_a_search_without_a_countermodel_sweeps_only_canonical_relations(monkeypatch):
@@ -204,6 +204,19 @@ def test_reduced_enumeration_counts_match_burnside():
         assert _burnside(n) == count
         assert sum(1 for _ in least_frames(n)) == count
     assert sum(1 for _ in enumerate_frames(3, reduce_isomorphism=True)) == 2456
+
+
+def test_the_first_least_frame_needs_no_table_of_every_labelling():
+    """least_frames works a chunk of relations at a time: at six worlds, with
+    3**6 labellings and 6! permutations, its first frame costs little
+    memory."""
+    tracemalloc.start()
+    try:
+        assert next(least_frames(6)) == (0, ("A",) * 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_reduced_frames_are_least_in_their_orbits():
