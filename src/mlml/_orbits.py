@@ -16,18 +16,20 @@ Three questions are answered here:
   that, with some allowed atom permutation, map L to itself.  Relations r and
   s(r) then give the same frame up to the symmetry.
 - `canonical_relations`: the relations least in their orbit under that
-  stabiliser H, each with its orbit size |H| / |Stab_H(r)|.
+  stabiliser H, each with its orbit size |H| / |Stab_H(r)|, Stab_H(r) the
+  renamings in H that fix r.
 
 Canonicity is bit-sliced over chunks of relations, as `FrameProperty.
 relation_mask` evaluates clauses: with `edge_masks(chunk, n*n, 1)`, bit k of
-the mask of an edge is set iff the chunk's k-th relation has it.  For each s
-the relations are compared with their images from the top edge bit down,
-giving the masks of "r < s(r)" and "r = s(r)" in a few bitwise operations
-per edge.  A relation is canonical where no s gives "r > s(r)", and a
-bit-sliced counter of the "r = s(r)" masks gives |Stab_H(r)|.  Run over all
-of S_n, the same comparison gives `least_frames` the relations least in
-their orbit, and the "r = s(r)" masks each one's stabiliser, under which its
-labellings are compared.
+the mask of an edge is set iff the chunk's k-th relation has it.  One walk,
+`_canonical`, serves both public functions: for each s of a group, the
+relations still canonical are compared with their images from the top edge
+bit down, giving the masks of "r < s(r)" and "r = s(r)" in a few bitwise
+operations per edge.  A relation is canonical where no s gives "r > s(r)",
+and fixed by the s whose "r = s(r)" mask has it.  Over H, those s and the
+identity are Stab_H(r); over all of S_n, they are the stabiliser under
+which `least_frames` compares the labellings of a relation least in its
+orbit.
 
 Nothing is cached beyond the small tables of permutations and, per
 stabiliser, its least labellings: the relation space is walked in aligned
@@ -37,7 +39,7 @@ chunks of at most 2**12 relations.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product, repeat
+from itertools import permutations, product
 from typing import Iterator, Sequence
 
 from ._sweep import edge_masks, set_bits
@@ -86,95 +88,75 @@ def stabiliser(
     )
 
 
-def _comparisons(
-    perms: Sequence[tuple[int, ...]], n: int, relations: range
-) -> Iterator[tuple[int, int]]:
-    """Per world permutation s: the masks over the chunk of the relations r
-    with r < s(r) and of those with r = s(r), as numbers."""
-    edges = edge_masks(relations, n * n, 1)
-    every = (1 << len(relations)) - 1
-    for s in perms:
-        # Edge bit p of s(r) is edge bit source[p] of r.
-        source = [0] * (n * n)
+def _chunks(n: int, width: int = _CHUNK) -> Iterator[range]:
+    """Aligned ranges of at most `width` relations, a power of two, covering
+    those on n worlds."""
+    total = 1 << (n * n)
+    width = min(total, width)
+    return (range(lo, lo + width) for lo in range(0, total, width))
+
+
+def _canonical(perms: Sequence[tuple[int, ...]], n: int) -> Iterator[tuple[int, int]]:
+    """The relation bitmasks on n worlds least in their orbit under the
+    group of world permutations `perms`, identity first, ascending, each
+    with the set of the other permutations that fix it, perms[k] as bit k."""
+    # Per permutation s: edge bit p of s(r) is edge bit source[p] of r.
+    sources = []
+    for s in perms[1:]:
+        source = bytearray(n * n)
         for i in range(n):
             for j in range(n):
                 source[s[i] * n + s[j]] = i * n + j
-        below, equal = 0, every
-        for p in range(n * n - 1, -1, -1):
-            q = source[p]
-            if q != p:
-                mine, theirs = edges[p], edges[q]
-                below |= equal & theirs & ~mine
-                equal &= ~(mine ^ theirs)
-                if not equal:
-                    break
-        yield below, equal
-
-
-def _chunks(n: int) -> Iterator[range]:
-    """Aligned ranges of at most _CHUNK relations, covering those on n worlds."""
-    total = 1 << (n * n)
-    width = min(total, _CHUNK)
-    return (range(lo, lo + width) for lo in range(0, total, width))
+        sources.append(source)
+    for relations in _chunks(n):
+        edges = edge_masks(relations, n * n, 1)
+        canonical, fixing = (1 << len(relations)) - 1, {}
+        for k, source in enumerate(sources, 1):
+            # The canonical relations r with r < s(r), and with r = s(r).
+            below, equal = 0, canonical
+            for p in range(n * n - 1, -1, -1):
+                q = source[p]
+                if q != p:
+                    mine, theirs = edges[p], edges[q]
+                    below |= equal & theirs & ~mine
+                    equal &= ~(mine ^ theirs)
+                    if not equal:
+                        break
+            canonical = below | equal
+            for r in set_bits(equal):
+                fixing[r] = fixing.get(r, 0) | 1 << k
+        for r in set_bits(canonical):
+            yield relations.start + r, fixing.get(r, 0)
 
 
 def canonical_relations(
     n: int, labels: tuple[str, ...], ultrafilter_names: tuple[str, ...]
 ) -> Iterator[tuple[int, int]]:
     """The relation bitmasks on the labelled n worlds that are least in
-    their orbit under `stabiliser(labels, ultrafilter_names)`, ascending,
-    each with its orbit size.  The sizes sum to 2**(n*n)."""
+    their orbit under H = `stabiliser(labels, ultrafilter_names)`,
+    ascending, each with its orbit size |H| / |Stab_H(r)|.  The sizes sum
+    to 2**(n*n)."""
     perms = stabiliser(labels, ultrafilter_names)
-    order = len(perms)
-    for relations in _chunks(n):
-        canonical = (1 << len(relations)) - 1
-        # Bit-sliced count of the s with r = s(r): planes[k] is bit k.
-        planes: list[int] = []
-        for below, equal in _comparisons(perms, n, relations):
-            canonical &= below | equal
-            carry = equal
-            for k, plane in enumerate(planes):
-                planes[k], carry = plane ^ carry, plane & carry
-                if not carry:
-                    break
-            if carry:
-                planes.append(carry)
-        found = []
-        # Only counts below 2**len(planes) occur in this chunk.
-        for fixed in range(1, min(order + 1, 1 << len(planes))):
-            if order % fixed == 0:
-                mask = canonical
-                for k, plane in enumerate(planes):
-                    mask &= plane if fixed >> k & 1 else ~plane
-                found.extend((relations.start + r, order // fixed) for r in set_bits(mask))
-        yield from sorted(found)
+    for bits, fixing in _canonical(perms, n):
+        yield bits, len(perms) // (1 + fixing.bit_count())
 
 
-def least_frames(n: int) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """The (relation bitmask, labels) of the least frame of each orbit under
-    simultaneous world permutations, by bitmask and then labels.  A frame is
-    least in its orbit iff its bitmask is at most every image of it and its
-    labels are at most their image under every permutation that fixes the
-    bitmask.  The least labellings are kept per set of such permutations:
-    few sets occur."""
+def least_frames(n: int) -> Iterator[tuple[int, tuple[tuple[str, ...], ...]]]:
+    """Per relation bitmask least in its orbit under the world permutations,
+    ascending: the bitmask and the labellings that make it the least frame
+    of its orbit, in labels order.  A frame is least in its orbit iff its
+    bitmask is at most every image of it and its labels are at most their
+    image under every permutation that fixes the bitmask.  The tuple of
+    least labellings is kept, and shared, per set of such permutations: few
+    sets occur."""
     perms = list(permutations(range(n)))
     labellings = list(product(LATTICE_LABELS, repeat=n))
-    # Per set of permutations fixing a bitmask, perms[k] as bit k: the
-    # labellings at most their image under each.
-    least: dict[int, list[tuple[str, ...]]] = {}
-    for relations in _chunks(n):
-        canonical, fixing = (1 << len(relations)) - 1, {}
-        # The identity, perms[0], fixes every relation and moves no labels.
-        for k, (below, equal) in enumerate(_comparisons(perms[1:], n, relations), 1):
-            canonical &= below | equal
-            for r in set_bits(equal & canonical):
-                fixing[r] = fixing.get(r, 0) | 1 << k
-        for r in set_bits(canonical):
-            key = fixing.get(r, 0)
-            if key not in least:
-                # With the identity they form a group, closed under inverses,
-                # and under the inverse of s world j gets the label of s[j].
-                movers = [perms[k] for k in set_bits(key)]
-                least[key] = [labels for labels in labellings
-                              if all(labels <= tuple(labels[i] for i in s) for s in movers)]
-            yield from zip(repeat(relations.start + r), least[key])
+    least: dict[int, tuple[tuple[str, ...], ...]] = {}
+    for bits, fixing in _canonical(perms, n):
+        if fixing not in least:
+            # With the identity they form a group, closed under inverses,
+            # and under the inverse of s world j gets the label of s[j].
+            movers = [perms[k] for k in set_bits(fixing)]
+            least[fixing] = tuple(labels for labels in labellings
+                                  if all(labels <= tuple(labels[i] for i in s) for s in movers))
+        yield bits, least[fixing]

@@ -211,7 +211,7 @@ def _cmd_enumerate(args) -> int:
                 return EXIT_OK
         raise ResourceBudgetExceeded(f"frame count on {args.worlds} worlds over {limit} digits")
     if args.count:
-        print(sum(1 for _ in frames.least_frames(args.worlds)))
+        print(sum(len(group) for _, group in frames.least_frames(args.worlds)))
         return EXIT_OK
     for frame in frames.enumerate_frames(args.worlds, reduce_isomorphism=args.reduce):
         print(frames.frame_encoding(frame))

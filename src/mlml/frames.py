@@ -304,16 +304,18 @@ def enumerate_frames(n: int, reduce_isomorphism: bool = False) -> Iterator[Frame
     """All frames on n labeled worlds in canonical order.
 
     With reduce_isomorphism=True only the least representative of each orbit
-    under world permutations is produced (see _orbits.least_frames).
+    under world permutations is produced: per least relation, its least
+    labellings (see _orbits.least_frames).
     """
     if n < 1:
         raise ValueError("world count must be >= 1")
     worlds = _world_names(n)
     labellings = list(product(LATTICE_LABELS, repeat=n))
-    codes = least_frames(n) if reduce_isomorphism else (
-        (bits, labels) for bits in range(1 << (n * n)) for labels in labellings)
-    for bits, labels in codes:
-        yield _frame_from_bits(worlds, labels, bits)
+    groups = least_frames(n) if reduce_isomorphism else (
+        (bits, labellings) for bits in range(1 << (n * n)))
+    for bits, group in groups:
+        for labels in group:
+            yield _frame_from_bits(worlds, labels, bits)
 
 
 def count_frames(n: int) -> int:
@@ -656,19 +658,21 @@ def correspondence_check(
     the same direction for every property in PROPERTIES.  For those, the
     pass is over the orbit representatives, each frame weighted by the size
     of its orbit, as the countermodel search scans them (see _orbit_parts),
-    always run to its end.  The weights are positive, so a weighted total of
-    0 means no mismatch.  Where rows are kept and the world count has a
-    mismatch, the frame-by-frame pass of the search (see _every_frame) lists
-    its rows, so the witness of a property-without-validity mismatch is the
-    canonically first countermodel on its frame, as a per-frame sweep would
-    find it.  Its frame and mismatch counts must equal the weighted ones, or
-    the check raises AssertionError.  Any other property gets the
-    frame-by-frame pass alone at every world count, in this process.  The
-    jobs run in this process when `workers`, capped at the CPU count, is 1,
-    or when every pass is one group, as where one sweep holds every
-    relation on max_worlds worlds; else across one pool of that many
-    processes, at most twice that many ahead of the one whose result is
-    read.  Both honour the frame and time budgets.
+    always run to its end.  Each world count's weighted frame count must be
+    `count_frames(n)`, or the check raises AssertionError.  The weights are
+    positive, so a weighted total of 0 means no mismatch.  Where rows are
+    kept and the world count has a mismatch, the frame-by-frame pass of the
+    search (see _every_frame) lists its rows, so the witness of a
+    property-without-validity mismatch is the canonically first countermodel
+    on its frame, as a per-frame sweep would find it.  Its frame and
+    mismatch counts must equal the weighted ones, or the check raises
+    AssertionError.  Any other property gets the frame-by-frame pass alone
+    at every world count, in this process.  The jobs run in this process
+    when `workers`, capped at the CPU count, is 1, or when every pass is one
+    group, as where one sweep holds every relation on max_worlds worlds;
+    else across one pool of that many processes, at most twice that many
+    ahead of the one whose result is read.  Both honour the frame and time
+    budgets.
     """
     if isinstance(prop, str):
         prop = PROPERTIES[prop]
@@ -694,6 +698,7 @@ def correspondence_check(
     symmetric = prop in PROPERTIES.values()
     orbit_key = tuple(sorted({u.name for u in selected}))
     totals = [0, 0]  # weighted mismatches without validity, without the property
+    weighed = []  # per world count, the weighted frame count of its pass
     # Ultrafilters walked in rank order put each relation's rows in report order.
     ranked = tuple(sorted(selected, key=lambda u: _ULTRAFILTER_RANK[u.generator]))
     workers = min(workers, os.cpu_count() or 1)  # each process starts at the first submit
@@ -747,9 +752,14 @@ def correspondence_check(
                     if (every_checked, every_counts) != (checked, counts):
                         raise AssertionError(
                             "orbit representatives and the frame-by-frame pass disagree")
+            weighed.append(checked)
             report.frames_checked += checked
             totals = [x + y for x, y in zip(totals, counts)]
             report.rows += _by_relation(found) if keep_rows else found
+    # Checked after every world count, so that a frame-by-frame pass that
+    # disagrees is reported as such.
+    if weighed != [count_frames(n) for n in range(1, max_worlds + 1)]:
+        raise AssertionError("a pass's weighted frame count is not every frame")
     report.totals = dict(zip(("property_without_valid", "valid_without_property"), totals))
     _recheck(report.rows, len(selected), totals, prop, formula, variables)
     if not keep_rows:
@@ -787,15 +797,16 @@ def _relation_blind_parts(
     per orbit representative of `_labelling_orbits` with a passing
     relation.  Its `_parts` source is the range of the least passing
     relation, weighted by the orbit's size times the number of passing
-    relations; the property is read off `relation_mask` over the chunks
-    that _orbits walks the relations in."""
+    relations; the property is read off `relation_mask` over aligned ranges
+    of 2**16 relations (see _orbits._chunks), one range up to four
+    worlds."""
     worlds = _world_names(n)
     sources = []
     for labels, size in _labelling_orbits(n, orbit_key):
         least, count = 0, 1 << (n * n)
         if prop is not None:
             least, count = None, 0
-            for relations in _chunks(n):
+            for relations in _chunks(n, 1 << 16):
                 mask = prop.relation_mask(worlds, labels, relations)
                 if mask and least is None:
                     least = relations.start + (mask & -mask).bit_length() - 1

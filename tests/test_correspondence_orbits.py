@@ -283,6 +283,21 @@ def test_rows_are_checked_against_the_weighted_counts(monkeypatch):
         correspondence_check("transitive", "[]p -> [][]p", 3)
 
 
+def test_the_orbit_weights_must_count_every_frame(monkeypatch):
+    """A clean criterion gets no frame-by-frame pass, so the orbit pass's
+    weighted frame count is checked against every frame: one labelling
+    orbit's size off by one makes it raise."""
+    orbits = frames._labelling_orbits
+
+    def off_by_one(n, orbit_key):
+        (labels, size), *rest = orbits(n, orbit_key)
+        return ((labels, size + 1), *rest)
+
+    monkeypatch.setattr(frames, "_labelling_orbits", off_by_one)
+    with pytest.raises(AssertionError, match="not every frame"):
+        correspondence_check("reflexive", "[]p -> p", 2)
+
+
 def test_count_only_cli_matches_the_csv_lines(capsys):
     args = ["correspond", "--property", "euclidean", "--formula", "<>p -> []<>p",
             "--max-worlds", "2", "--all-ultrafilters"]

@@ -3,9 +3,11 @@
 The countermodel search sweeps, per orbit representative L of the
 labellings, only the relations least in their orbit under L's stabiliser H,
 each weighted by its orbit size; `enumerate --reduce` keeps the least frame
-of each orbit under all world permutations.  Both come from the bit-sliced
-comparison in `mlml._orbits`, checked here against the permuted relations
-themselves and against Burnside's lemma.
+of each orbit under all world permutations, given per least relation with
+its least labellings.  Both come from one bit-sliced walk in `mlml._orbits`
+that keeps the renamings fixing each canonical relation, checked here
+against the permuted relations themselves and against Burnside's lemma.
+The relation-blind pass reads each property once per representative.
 """
 
 import hashlib
@@ -16,11 +18,12 @@ from math import factorial
 import pytest
 
 from mlml import frames
-from mlml._orbits import _labelling_orbits, canonical_relations, least_frames, stabiliser
+from mlml._orbits import (
+    _chunks, _labelling_orbits, canonical_relations, least_frames, stabiliser)
 from mlml.algebra import ULTRAFILTERS
 from mlml.cli import main
-from mlml._sweep import relation_chunk_width
-from mlml.frames import PROPERTIES, count_frames, enumerate_frames
+from mlml._sweep import relation_chunk_width, set_bits
+from mlml.frames import PROPERTIES, FrameProperty, count_frames, enumerate_frames
 from mlml.kripke import countermodel_search
 from mlml.syntax import parse
 
@@ -157,6 +160,33 @@ def test_every_pass_is_cut_into_ramped_aligned_parts(names):
                    for group in groups for _, chunk, _ in group)
 
 
+def test_the_relation_blind_pass_reads_each_property_once_per_representative(monkeypatch):
+    """At four worlds the relation-blind pass reads a property's mask over
+    all 65,536 relations in one call per labelling-orbit representative,
+    and its groups are those of a walk over the 4,096-relation chunks."""
+    worlds = ("w1", "w2", "w3", "w4")
+    representatives = _labelling_orbits(4, ALL)
+    mask = FrameProperty.relation_mask
+    calls = []
+
+    def spy(self, *args):
+        calls.append(args[2])
+        return mask(self, *args)
+
+    for prop in PROPERTIES.values():
+        expected = []
+        for labels, size in representatives:
+            passing = [relations[k] for relations in _chunks(4)
+                       for k in set_bits(mask(prop, worlds, labels, relations))]
+            expected.append((labels, range(passing[0], passing[0] + 1),
+                             {size * len(passing): 1}))
+        calls.clear()
+        monkeypatch.setattr(FrameProperty, "relation_mask", spy)
+        assert list(frames._relation_blind_parts(4, ALL, prop)) == [expected]
+        monkeypatch.undo()
+        assert calls == [range(0, 1 << 16)] * len(representatives)
+
+
 def test_a_search_without_a_countermodel_sweeps_only_canonical_relations(monkeypatch):
     swept = set()
     sweep = frames.FrameSweep
@@ -199,10 +229,15 @@ def _cycles(points, move):
     return cycles
 
 
+def _least(n):
+    """The least frames on n worlds, as (relation bitmask, labels) pairs."""
+    return [(bits, labels) for bits, group in least_frames(n) for labels in group]
+
+
 def test_reduced_enumeration_counts_match_burnside():
     for n, count in ((1, 6), (2, 78), (3, 2456), (4, 228588)):
         assert _burnside(n) == count
-        assert sum(1 for _ in least_frames(n)) == count
+        assert len(_least(n)) == count
     assert sum(1 for _ in enumerate_frames(3, reduce_isomorphism=True)) == 2456
 
 
@@ -212,7 +247,8 @@ def test_the_first_least_frame_needs_no_table_of_every_labelling():
     memory."""
     tracemalloc.start()
     try:
-        assert next(least_frames(6)) == (0, ("A",) * 6)
+        bits, group = next(least_frames(6))
+        assert (bits, group[0]) == (0, ("A",) * 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,7 +257,7 @@ def test_the_first_least_frame_needs_no_table_of_every_labelling():
 
 def test_reduced_frames_are_least_in_their_orbits():
     for n in (1, 2, 3):
-        kept = list(least_frames(n))
+        kept = _least(n)
         assert kept == sorted(kept)
         for bits, labels in kept:
             assert all((bits, labels) <= (_image(bits, s, n), _moved(labels, s))
