@@ -249,11 +249,11 @@ def _cmd_checkproof(args) -> int:
         return EXIT_NEGATIVE
     print(f"accepted: {derivation.final_judgment()}")
     if args.crosscheck:
-        report = proofs.semantic_crosscheck(derivation, args.crosscheck_worlds,
-                                            args.max_valuations, args.max_frames)
-        if not report.sound:
+        counter = proofs.semantic_crosscheck(derivation, args.crosscheck_worlds,
+                                             args.max_valuations, args.max_frames)
+        if counter is not None:
             print("SOUNDNESS ALARM: countermodel to the final judgment:")
-            print(json.dumps(kripke.model_to_dict(report.countermodel), indent=2))
+            print(json.dumps(kripke.model_to_dict(counter), indent=2))
             return EXIT_NEGATIVE
         print(f"crosscheck clean up to {args.crosscheck_worlds} worlds")
     return EXIT_OK

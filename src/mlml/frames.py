@@ -63,15 +63,6 @@ __all__ = [
     "ClauseViolation",
     "FrameProperty",
     "PROPERTIES",
-    "is_reflexive",
-    "is_serial",
-    "is_symmetric",
-    "is_transitive",
-    "is_euclidean",
-    "is_out_of_bubble",
-    "is_super_out_of_bubble",
-    "is_tte",
-    "is_ttd",
     "enumerate_frames",
     "count_frames",
     "frame_encoding",
@@ -79,7 +70,6 @@ __all__ = [
     "CorrespondenceReport",
     "correspondence_check",
     "fixtures",
-    "euclidean_triangle",
     "IndiscernibilityReport",
     "indiscernibility_check",
 ]
@@ -256,17 +246,6 @@ PROPERTIES: dict[str, FrameProperty] = {
         FrameProperty("transitive_through_difference", ClauseViolation(_ttd)),
     )
 }
-
-
-is_reflexive = PROPERTIES["reflexive"].holds
-is_serial = PROPERTIES["serial"].holds
-is_symmetric = PROPERTIES["symmetric"].holds
-is_transitive = PROPERTIES["transitive"].holds
-is_euclidean = PROPERTIES["euclidean"].holds
-is_out_of_bubble = PROPERTIES["out_of_bubble"].holds
-is_super_out_of_bubble = PROPERTIES["super_out_of_bubble"].holds
-is_tte = PROPERTIES["transitive_through_equality"].holds
-is_ttd = PROPERTIES["transitive_through_difference"].holds
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +800,7 @@ def _countermodel_scan(
     goal: Formula,
     max_worlds: int,
     selected: tuple[Ultrafilter, ...],
-    frame_filter: FrameProperty | Callable[[Frame], bool] | None,
+    frame_filter: FrameProperty | None,
     max_valuations: int | None,
     max_frames: int | None,
 ) -> Model | None:
@@ -837,10 +816,8 @@ def _countermodel_scan(
     value), of `_relation_blind_parts`, one relation each; every labelling
     and relation is scanned only where they have a countermodel or pass the
     budget."""
-    if getattr(frame_filter, "__func__", None) is FrameProperty.holds:
-        frame_filter = frame_filter.__self__  # a bound `holds`, as the is_* aliases are
     if frame_filter is not None and not isinstance(frame_filter, FrameProperty):
-        raise TypeError("frame_filter must be a FrameProperty, its bound holds, or None")
+        raise TypeError("frame_filter must be a FrameProperty or None")
     symmetric = frame_filter is None or frame_filter in PROPERTIES.values()
     var_names = syntax.variables(*premises, goal)
     *folded, goal = (syntax.fold_constants(g) for g in premises + (goal,))
@@ -920,18 +897,6 @@ def _countermodel_scan(
 # ---------------------------------------------------------------------------
 
 
-def euclidean_triangle() -> Frame:
-    """Three worlds with the total relation (self-loops included).
-
-    The labels put the two observer worlds in a lattice whose designated
-    middle element is a coatom under the default ultrafilter, which is what
-    makes the diamond-box countermodel go through.
-    """
-    worlds = ("w", "u", "v")
-    relation = frozenset((a, b) for a in worlds for b in worlds)
-    return Frame(worlds, relation, dict(zip(worlds, ("B", "B", "A"))))
-
-
 def _clique(worlds: Iterable[str]) -> set[tuple[str, str]]:
     ws = tuple(worlds)
     return {(a, b) for a in ws for b in ws if a != b}
@@ -948,18 +913,23 @@ def _soob_frame(names: tuple[str, ...], labels: tuple[str, ...]) -> Frame:
 def fixtures() -> dict[str, Frame]:
     """Named frames used by the characterization batteries.
 
-    euc3 is the Euclidean triangle above.  soob_F consists of a root that
-    reaches two hubs, each hub sitting in a bidirectional three-world clique
-    whose members carry three distinct lattices; it is super out of the
-    bubble.  soob_Fprime has the same shape but both hubs carry lattice C,
-    so the root only ever escapes to one foreign lattice; it is out of the
-    bubble but not super out of the bubble.  No world in either frame has a
-    self-loop.
+    euc3 is the Euclidean triangle: three worlds with the total relation,
+    self-loops included.  Its labels B, B, A put the two observer worlds in
+    a lattice whose designated middle element is a coatom under the default
+    ultrafilter, which is what makes the diamond-box countermodel go
+    through.  soob_F consists of a root that reaches two hubs, each hub
+    sitting in a bidirectional three-world clique whose members carry three
+    distinct lattices; it is super out of the bubble.  soob_Fprime has the
+    same shape but both hubs carry lattice C, so the root only ever escapes
+    to one foreign lattice; it is out of the bubble but not super out of
+    the bubble.  No world in either of those two frames has a self-loop.
     """
     f_names = ("w", "w1", "w2", "w1p", "w1pp", "w2p", "w2pp")
     g_names = ("u", "u1", "u2", "u1p", "u1pp", "u2p", "u2pp")
+    euc_names = ("w", "u", "v")
     return {
-        "euc3": euclidean_triangle(),
+        "euc3": Frame(euc_names, frozenset(product(euc_names, repeat=2)),
+                      dict(zip(euc_names, ("B", "B", "A")))),
         "soob_F": _soob_frame(f_names, ("A", "B", "C", "A", "C", "A", "B")),
         "soob_Fprime": _soob_frame(g_names, ("A", "C", "C", "A", "B", "A", "B")),
     }
@@ -973,7 +943,6 @@ def fixtures() -> dict[str, Frame]:
 @dataclass
 class IndiscernibilityReport:
     formulas_checked: int
-    ultrafilters: tuple[str, ...]
     disagreements: list[tuple[str, str, bool, bool]] = field(default_factory=list)
 
     @property
@@ -1004,7 +973,6 @@ def indiscernibility_check(
                                    selected, max_valuations)
     return IndiscernibilityReport(
         formulas_checked=syntax.corpus_size(1, corpus_depth),
-        ultrafilters=tuple(u.name for u in selected),
         disagreements=disagreements,
     )
 

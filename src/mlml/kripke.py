@@ -26,7 +26,7 @@ the modal-classical fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import algebra, syntax
 from .algebra import (
@@ -291,7 +291,7 @@ def countermodel_search(
     goal: Formula,
     max_worlds: int,
     ultrafilters: str | Ultrafilter | Iterable[Ultrafilter] = "all",
-    frame_filter: "FrameProperty | Callable[[Frame], bool] | None" = None,
+    frame_filter: FrameProperty | None = None,
     max_valuations: int | None = DEFAULT_MAX_VALUATIONS,
     max_frames: int | None = None,
 ) -> Model | None:
@@ -304,8 +304,8 @@ def countermodel_search(
     countermodel up to the bound, which is weaker than validity.
 
     frame_filter restricts the search to frames with a property, e.g. one
-    under study: a FrameProperty, checked on relation bitmasks, or its bound
-    `holds`, as the is_* aliases are; anything else raises TypeError.
+    under study: a FrameProperty, such as an entry of frames.PROPERTIES,
+    checked on relation bitmasks, or None; anything else raises TypeError.
     max_frames caps the frames passing it.
     """
     from .frames import _countermodel_scan  # frames imports this module

@@ -9,8 +9,9 @@ derivation is accepted when every step checks.
 Most rules are schematic: a step matches when the cited conclusions and its
 own conclusion instantiate the rule's premise and conclusion shapes under a
 single consistent binding of the metavariables, and every cited premise set
-is contained in the step's premise set.  Axiom-shaped rules (DB, KA) carry
-their weakening built in and are accepted under any premise set.
+is contained in the step's premise set.  A rule whose scheme has no
+premises (DB, KA) is an axiom: its step cites no steps, and it carries its
+weakening built in, so it is accepted under any premise set.
 
 Two structural rules make classical reasoning checkable without fixing a
 particular classical axiomatization: TautCons accepts any conclusion that is
@@ -21,8 +22,8 @@ set.  The TautCons check is the packed engine's two-valued sweep over the
 frozen atoms on a one-world frame, with no truth table of its own.
 
 The bundled corpus exercises every rule; `semantic_crosscheck` replays an
-accepted derivation's final judgment against the bounded countermodel search,
-flagging any hit as a soundness alarm rather than passing silently.
+accepted derivation's final judgment against the bounded countermodel search
+and returns its countermodel, a soundness alarm, or None.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "CheckResult",
     "check_step",
     "check",
-    "CrosscheckReport",
     "semantic_crosscheck",
     "derivation_from_dict",
     "load_bundled_corpus",
@@ -124,7 +124,6 @@ _PSI = Var("psi")
 class Scheme:
     premises: tuple[Formula, ...]
     conclusion: Formula
-    axiom: bool = False
 
 
 # The calculus: each tag maps to its scheme variants, and a step is
@@ -133,7 +132,7 @@ class Scheme:
 # connectives.  `prop4.rule_soundness_report` checks every modal-free
 # variant of this table, so an edit here is checked there too.
 RULE_SCHEMES: dict[str, tuple[Scheme, ...]] = {
-    "DB": (Scheme((), Ball(Ball(_PHI)), axiom=True),),
+    "DB": (Scheme((), Ball(Ball(_PHI))),),
     "BR": (
         Scheme((Ball(_PHI),), Ball(Not(_PHI))),
         Scheme((Ball(Not(_PHI)),), Ball(_PHI)),
@@ -163,7 +162,7 @@ RULE_SCHEMES: dict[str, tuple[Scheme, ...]] = {
         Scheme((Iff(Ball(_PHI), Ball(_PSI)), Iff(_PHI, Not(_PSI))), Ball(And(_PHI, _PSI))),
     ),
     "KA": (
-        Scheme((), Imp(Box(Imp(_PHI, _PSI)), Imp(Box(_PHI), Box(_PSI))), axiom=True),
+        Scheme((), Imp(Box(Imp(_PHI, _PSI)), Imp(Box(_PHI), Box(_PSI)))),
     ),
     "BB": (Scheme((Box(_PHI), Ball(Box(_PHI))), Box(Ball(_PHI))),),
     "FC": (Scheme((Diamond(_PHI), Diamond(Not(_PHI))), Ball(Box(_PHI))),),
@@ -380,7 +379,7 @@ def check_step(derivation: Derivation, index: int) -> str | None:
     variants = RULE_SCHEMES.get(rule)
     if variants is None:
         return f"unknown rule tag {rule!r}"
-    if variants[0].axiom:
+    if not variants[0].premises:
         if step.cites:
             return f"{rule} is an axiom and cites no steps"
         if any(_match(v.conclusion, conclusion, {}) is not None for v in variants):
@@ -421,25 +420,17 @@ def check(derivation: Derivation) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CrosscheckReport:
-    countermodel: kripke.Model | None
-
-    @property
-    def sound(self) -> bool:
-        return self.countermodel is None
-
-
 def semantic_crosscheck(
     derivation: Derivation,
     max_worlds: int = 2,
     max_valuations: int | None = DEFAULT_MAX_VALUATIONS,
     max_frames: int | None = None,
-) -> CrosscheckReport:
-    """Search for a model refuting the final judgment of an accepted
-    derivation.  Finding one is a soundness alarm: either the checker, the
-    semantics, or the calculus itself is at fault, and the caller must not
-    ignore it.  The caps are `countermodel_search`'s.
+) -> kripke.Model | None:
+    """The first model refuting the final judgment of an accepted
+    derivation, or None when there is none up to the bounds.  A model is a
+    soundness alarm: either the checker, the semantics, or the calculus
+    itself is at fault, and the caller must not ignore it.  The caps are
+    `countermodel_search`'s.
     """
     result = check(derivation)
     if not result.accepted:
@@ -448,7 +439,7 @@ def semantic_crosscheck(
     # The premises in the order of their straight-line code, which is linear
     # in their size where their text can be exponential.  The search meets
     # their values and sorts their variables, so no order changes its result.
-    counter = kripke.countermodel_search(
+    return kripke.countermodel_search(
         sorted(goal.premises, key=lambda premise: compile_formula(premise).code),
         goal.conclusion,
         max_worlds,
@@ -456,7 +447,6 @@ def semantic_crosscheck(
         max_valuations=max_valuations,
         max_frames=max_frames,
     )
-    return CrosscheckReport(counter)
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +454,25 @@ def semantic_crosscheck(
 # ---------------------------------------------------------------------------
 
 
+def _formula(parse, text: object, what: str) -> Formula:
+    if not isinstance(text, str):
+        raise ValueError(f"{what} must be a formula string")
+    return parse(text)
+
+
 def _formula_set(parse, owner: Mapping, key: str, number: int) -> frozenset[Formula]:
     """The formulas whose texts an optional array of step `number` lists."""
-    return frozenset(map(parse, kripke._json_list(owner.get(key, ()), f"step {number}: {key}")))
+    what = f"step {number}: {key}"
+    try:
+        return frozenset(map(parse, kripke._json_list(owner.get(key, ()), what)))
+    except TypeError:  # a text that is unhashable or not a string
+        raise ValueError(f"{what} entry must be a formula string") from None
 
 
 def derivation_from_dict(doc: Mapping) -> Derivation:
     parse = lru_cache(maxsize=None)(syntax.parse)  # one object per text, as premises recur
     steps = []
-    for number, raw in enumerate(doc["steps"]):
+    for number, raw in enumerate(kripke._json_list(doc["steps"], "steps")):
         if not isinstance(raw, Mapping):
             raise ValueError(f"step {number} is not an object")
         cites = raw.get("cites", ())
@@ -488,13 +488,13 @@ def derivation_from_dict(doc: Mapping) -> Derivation:
             split = InSplit(
                 _formula_set(parse, params, "lambda", number),
                 _formula_set(parse, params, "gamma", number),
-                parse(params["phi"]),
+                _formula(parse, params["phi"], f"step {number}: phi"),
             )
         steps.append(
             DerivationStep(
                 judgment=Judgment(
                     _formula_set(parse, raw, "premises", number),
-                    parse(raw["conclusion"]),
+                    _formula(parse, raw["conclusion"], f"step {number}: conclusion"),
                 ),
                 rule=raw["rule"],
                 cites=tuple(cites),

@@ -386,6 +386,30 @@ def test_proof_formula_lists_must_be_arrays(capsys, tmp_path, step, message):
     assert err.startswith("error: ") and message in err
 
 
+def _premise_step(**fields):
+    return {"steps": [{"premises": ["p"], "conclusion": "p", "rule": "Premise", **fields}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"steps": {}}, "bad proof document: steps must be a list"),
+    ({"steps": ""}, "bad proof document: steps must be a list"),
+    (_premise_step(conclusion=5), "step 0: conclusion must be a formula string"),
+    (_premise_step(premises=[["p"]]), "step 0: premises entry must be a formula string"),
+    (_premise_step(params={"lambda": [5], "gamma": [], "phi": "p"}),
+     "step 0: lambda entry must be a formula string"),
+    (_premise_step(params={"lambda": [], "gamma": [None], "phi": "p"}),
+     "step 0: gamma entry must be a formula string"),
+    (_premise_step(params={"lambda": [], "gamma": [], "phi": ["p"]}),
+     "step 0: phi must be a formula string"),
+])
+def test_proof_documents_name_the_field_of_a_wrong_type(capsys, tmp_path, doc, message):
+    """Steps that are not a list are a bad document, not an empty
+    derivation, and a formula that is not a string names its field."""
+    code, out, err = run(capsys, "checkproof", "--proof", _document(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"worlds": "wu", "lattices": {"w": "A", "u": "B"}, "edges": []}, "worlds must be a list"),
     ({"worlds": ["w", "u"], "lattices": {"w": "A", "u": "B"}, "edges": "wu"},

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mlml import algebra
 from mlml._sweep import FrameSweep, ResourceBudgetExceeded
 from mlml.algebra import BOT, E1, E13, E23, TOP, ULTRAFILTERS, Ultrafilter, carrier
-from mlml.frames import enumerate_frames, is_euclidean
+from mlml.frames import PROPERTIES, enumerate_frames
 from mlml.kripke import (
     Frame,
     FragmentError,
@@ -246,10 +246,10 @@ def test_countermodel_search_k_axiom_clean():
 
 def test_countermodel_search_euclidean_restricted():
     counter = countermodel_search(
-        [], parse("<>p -> []<>p"), 3, frame_filter=is_euclidean
+        [], parse("<>p -> []<>p"), 3, frame_filter=PROPERTIES["euclidean"]
     )
     assert counter is not None
-    assert is_euclidean(counter.frame)
+    assert PROPERTIES["euclidean"].holds(counter.frame)
     assert not model_valid(counter, parse("<>p -> []<>p"))
 
 

@@ -159,10 +159,9 @@ def test_a_spent_frame_budget_comes_before_the_valuation_cap():
         assert _outcome(per_frame_search, *args) == ("raised", message)
 
 
-def test_a_bound_holds_filter_searches_on_the_clause_masks(monkeypatch):
-    """A property's bound `holds`, as the is_* aliases are, finds the same
-    countermodel as the property, and a search without a hit builds no
-    frame to call it on."""
+def test_a_property_filter_searches_on_the_clause_masks(monkeypatch):
+    """A property filter is checked on relation bitmasks: a search without a
+    hit builds no frame to call it on."""
     from mlml import frames
 
     built = []
@@ -170,21 +169,20 @@ def test_a_bound_holds_filter_searches_on_the_clause_masks(monkeypatch):
     monkeypatch.setattr(frames, "_frame_from_bits",
                         lambda *args: built.append(args) or from_bits(*args))
     reflexive = PROPERTIES["reflexive"]
-    assert countermodel_search([], parse("[]p -> p"), 3, frame_filter=reflexive.holds) is None
+    assert countermodel_search([], parse("[]p -> p"), 3, frame_filter=reflexive) is None
     assert built == []
-    goal = parse("[]p -> [][]p")
-    model = countermodel_search([], goal, 3, frame_filter=frames.is_reflexive)
-    assert model is not None
-    assert model == countermodel_search([], goal, 3, frame_filter=reflexive)
+    model = countermodel_search([], parse("[]p -> [][]p"), 3, frame_filter=reflexive)
+    assert model is not None and reflexive.holds(model.frame)
 
 
 def test_a_filter_without_clauses_is_refused():
-    """A property is its clauses: a finder without them, or a plain
-    predicate as the search's filter, raises TypeError."""
+    """A property is its clauses: a finder without them, or a predicate as
+    the search's filter, even a property's bound `holds`, raises TypeError."""
     with pytest.raises(TypeError):
         FrameProperty("x", lambda frame: None)
-    with pytest.raises(TypeError):
-        countermodel_search([], parse("p"), 1, frame_filter=lambda frame: True)
+    for predicate in (lambda frame: True, PROPERTIES["reflexive"].holds):
+        with pytest.raises(TypeError, match="must be a FrameProperty or None"):
+            countermodel_search([], parse("p"), 1, frame_filter=predicate)
 
 
 def test_a_search_without_a_countermodel_sweeps_the_orbit_representatives(monkeypatch):
